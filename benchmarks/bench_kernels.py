@@ -8,6 +8,9 @@ prints a timing table.  Usage:
 
 Backend selection goes through the same TWOSLIT_BACKEND environment
 flag the package honors, so each run reflects what a user would get.
+Each column is labelled with the backend that actually ran; a backend
+that cannot be selected (numba not installed) is reported as
+unavailable, not timed.
 """
 
 from __future__ import annotations
@@ -60,13 +63,19 @@ def _run_case(kind: str, a: int, b: int, repeats: int) -> float:
     raise ValueError(kind)
 
 
-def _child(backend: str, repeats: int) -> dict[str, float]:
+def _child(backend: str, repeats: int) -> dict:
+    """Run the cases in a fresh interpreter with TWOSLIT_BACKEND=backend.
+    Returns the backend that actually ran, the selection error if any,
+    and the timings (none when the selection failed)."""
     env = dict(os.environ, TWOSLIT_BACKEND=backend)
     code = (
         "import json, sys; sys.path.insert(0, %r); "
+        "from twoslit import kernels; "
         "from bench_kernels import CASES, _run_case; "
-        "print(json.dumps({name: _run_case(kind, a, b, %d) "
-        "for name, kind, a, b in CASES}))" % (os.path.dirname(os.path.abspath(__file__)), repeats)
+        "times = None if kernels.BACKEND_ERROR else {name: _run_case(kind, a, b, %d) "
+        "for name, kind, a, b in CASES}; "
+        "print(json.dumps({'backend': kernels.BACKEND, 'error': kernels.BACKEND_ERROR, "
+        "'times': times}))" % (os.path.dirname(os.path.abspath(__file__)), repeats)
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -84,17 +93,28 @@ def main() -> int:
     results = {}
     for backend in ("numpy", "numba"):
         try:
-            results[backend] = _child(backend, args.repeats)
+            ran = _child(backend, args.repeats)
         except subprocess.CalledProcessError as exc:
             print(f"backend {backend} failed:\n{exc.stderr}", file=sys.stderr)
             return 1
+        if ran["error"] is not None:
+            print(f"{backend}: unavailable ({ran['error']})")
+        elif ran["backend"] != backend:
+            print(f"{backend}: unavailable (the {ran['backend']} backend ran instead)")
+        else:
+            results[backend] = ran["times"]
 
+    if not results:
+        return 1
     width = max(len(name) for name, *_ in CASES)
-    print(f"{'case'.ljust(width)}  {'numpy (s)':>12}  {'numba (s)':>12}  {'speedup':>8}")
+    header = f"{'case'.ljust(width)}" + "".join(f"  {b + ' (s)':>12}" for b in results)
+    both = len(results) == 2
+    print(header + (f"  {'speedup':>8}" if both else ""))
     for name, *_ in CASES:
-        t_np = results["numpy"][name]
-        t_nb = results["numba"][name]
-        print(f"{name.ljust(width)}  {t_np:12.4f}  {t_nb:12.4f}  {t_np / t_nb:8.2f}x")
+        row = f"{name.ljust(width)}" + "".join(f"  {t[name]:12.4f}" for t in results.values())
+        if both:
+            row += f"  {results['numpy'][name] / results['numba'][name]:8.2f}x"
+        print(row)
     return 0
 
 

@@ -300,6 +300,43 @@ def onset_metrics(
     return OnsetReport(lv, side, centroid, asym)
 
 
+@dataclass(frozen=True)
+class ChannelMeasurements:
+    profiles: dict[str, IntensityProfile]  # null, detected, combined, kick_reference
+    visibility: dict[str, float]  # same keys, over the central window
+    onset_null: OnsetReport
+    onset_detected: OnsetReport
+    p_det: float
+
+
+def measure_channels(
+    channels,
+    central_window: tuple[float, float],
+    local_window_width: float,
+    onset_threshold: float = 0.02,
+) -> ChannelMeasurements:
+    """Intensities, visibilities and onset reports of the detector
+    channels of one scenario.ChannelSet.  The null channel's onset
+    baseline is one-slit A; the detected channel's is its stub-only
+    re-emission."""
+    profiles = {
+        "null": intensity(channels.null.field),
+        "detected": intensity(channels.detected.field),
+        "combined": channels.combined,
+        "kick_reference": channels.kick_reference,
+    }
+    onset = (local_window_width, onset_threshold)
+    return ChannelMeasurements(
+        profiles=profiles,
+        visibility={k: visibility(v, central_window) for k, v in profiles.items()},
+        onset_null=onset_metrics(profiles["null"], intensity(channels.psi_a), *onset),
+        onset_detected=onset_metrics(
+            profiles["detected"], intensity(channels.detected_baseline.field), *onset
+        ),
+        p_det=channels.p_det,
+    )
+
+
 def sweep_interslit(
     apparatus: Apparatus,
     detector: DetectorConfig,
@@ -310,46 +347,37 @@ def sweep_interslit(
     onset_threshold: float = 0.02,
 ) -> SweepTable:
     """Run every channel at each slit separation and tabulate the
-    verdict measurements.  Each re-centered apparatus is validated; an
-    invalid entry aborts with the offending d named."""
-    from . import scenario
+    verdict measurements.  Every re-centered apparatus is validated
+    before any is computed; an invalid entry aborts with the offending
+    d named."""
+    from .scenario import ChannelSet
 
     if len(d_values) == 0:
         raise InvalidArgumentError("d_values is empty")
-    rows = []
+    geometries = []
     for i, d in enumerate(d_values):
         app_d = apparatus.with_slit_separation(d)
         report = validate(app_d, detector, particle)
         if not report.ok:
             issues = "; ".join(issue.message for issue in report.errors())
             raise InvalidArgumentError(f"d_values[{i}]={d} gives invalid geometry: {issues}")
-        p_det = scenario.detection_probability(app_d, detector, particle)
-        null_cf = scenario.null_channel_amplitude(app_d, detector, particle)
-        det_cf = scenario.detected_channel_amplitude(app_d, detector, particle)
-        i_null = intensity(null_cf.field, normalize=True)
-        i_det = intensity(det_cf.field, normalize=True)
-        i_comb = scenario.combined_intensity(null_cf, det_cf, p_det)
-        i_kick = scenario.kick_reference_intensity(app_d, detector, particle)
-        i_a = intensity(
-            scenario.one_slit_amplitude(app_d, particle, "A").field, normalize=True
+        geometries.append(app_d)
+    rows = []
+    for d, app_d in zip(d_values, geometries):
+        m = measure_channels(
+            ChannelSet(app_d, detector, particle), central_window, local_window_width, onset_threshold
         )
-        det_base = scenario.detected_channel_amplitude(
-            app_d, detector, particle, include_trapped=False
-        )
-        i_det_base = intensity(det_base.field, normalize=True)
-        onset_null = onset_metrics(i_null, i_a, local_window_width, onset_threshold)
-        onset_det = onset_metrics(i_det, i_det_base, local_window_width, onset_threshold)
         rows.append(
             SweepRow(
                 d=d,
                 d_over_lambda_ph=d / detector.photon_wavelength,
-                visibility_null=visibility(i_null, central_window),
-                visibility_det=visibility(i_det, central_window),
-                visibility_combined=visibility(i_comb, central_window),
-                visibility_kick_reference=visibility(i_kick, central_window),
-                centroid_null=onset_null.visibility_centroid_x,
-                asymmetry_det=onset_det.asymmetry_index,
-                p_det=p_det,
+                visibility_null=m.visibility["null"],
+                visibility_det=m.visibility["detected"],
+                visibility_combined=m.visibility["combined"],
+                visibility_kick_reference=m.visibility["kick_reference"],
+                centroid_null=m.onset_null.visibility_centroid_x,
+                asymmetry_det=m.onset_detected.asymmetry_index,
+                p_det=m.p_det,
             )
         )
     return SweepTable(rows=tuple(rows))

@@ -5,6 +5,12 @@ commands take --config plus optional --out (overrides the output
 directory), --seed (overrides paths.seed), and --threads (kernel worker
 count; results are identical for any value).
 
+The CLI parses, dispatches, serializes and writes.  simulate measures
+one scenario.ChannelSet with analysis.measure_channels: 4 propagations,
+6 when slit A's cone reaches the disc, 2 with the detector off.  sweep
+validates every d_values entry, then does the same per entry.  paths
+runs no propagation.
+
 Exit codes: 0 success; 2 unusable input (missing/invalid config file,
 schema violation, bad uncertainty arguments); 3 physically invalid
 configuration; 4 internal numerical failure.
@@ -30,7 +36,7 @@ import numpy as np
 
 from . import __version__, analysis, kernels, scenario
 from . import paths as paths_mod
-from .apparatus import validate
+from .apparatus import ValidationReport, validate
 from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
@@ -118,106 +124,64 @@ def _onset_payload(report: analysis.OnsetReport) -> dict:
     }
 
 
-def _validated(cfg: RunConfig) -> None:
+def _validated(cfg: RunConfig) -> ValidationReport:
     report = validate(cfg.apparatus, cfg.detector, cfg.particle)
     if not report.ok:
         raise PhysicsValidationError(report)
+    return report
 
 
 def _simulate_artifacts(cfg: RunConfig) -> dict[str, str]:
     """Compute every simulate artifact as text; raises before writing
     anything on any failure."""
     app, det, part, ana = cfg.apparatus, cfg.detector, cfg.particle, cfg.analysis
-    report = validate(app, det, part)
-    if not report.ok:
-        raise PhysicsValidationError(report)
+    report = _validated(cfg)
 
-    two = scenario.two_slit_amplitude(app, part)
-    i_two = analysis.intensity(two.field)
+    channels = scenario.ChannelSet(app, det, part)
+    i_two = analysis.intensity(channels.no_detector.field)
     x = i_two.x
-    zeros = np.zeros_like(i_two.values)
 
     summary: dict = {"config_valid": True, "detector_enabled": det.enabled}
-    vis: dict = {}
     try:
         summary["fringe_spacing_no_detector"] = analysis.fringe_spacing(i_two)
     except NoFringesError:
         summary["fringe_spacing_no_detector"] = None
-    vis["no_detector"] = analysis.visibility(i_two, ana.central_window)
+    vis: dict = {"no_detector": analysis.visibility(i_two, ana.central_window)}
+    columns = {"I_no_detector": i_two.values}
 
     if det.enabled:
-        p_det = scenario.detection_probability(app, det, part)
-        null_cf = scenario.null_channel_amplitude(app, det, part)
-        det_cf = scenario.detected_channel_amplitude(app, det, part)
-        i_null = analysis.intensity(null_cf.field)
-        i_det = analysis.intensity(det_cf.field)
-        i_comb = scenario.combined_intensity(null_cf, det_cf, p_det)
-        i_kick = scenario.kick_reference_intensity(app, det, part)
-        vis["null"] = analysis.visibility(i_null, ana.central_window)
-        vis["detected"] = analysis.visibility(i_det, ana.central_window)
-        vis["combined"] = analysis.visibility(i_comb, ana.central_window)
-        vis["kick_reference"] = analysis.visibility(i_kick, ana.central_window)
-        i_a = analysis.intensity(scenario.one_slit_amplitude(app, part, "A").field)
-        det_base = scenario.detected_channel_amplitude(app, det, part, include_trapped=False)
-        i_det_base = analysis.intensity(det_base.field)
-        summary["p_det"] = p_det
-        summary["onset_null"] = _onset_payload(
-            analysis.onset_metrics(i_null, i_a, ana.local_window_width, ana.onset_threshold)
+        m = analysis.measure_channels(
+            channels, ana.central_window, ana.local_window_width, ana.onset_threshold
         )
-        summary["onset_detected"] = _onset_payload(
-            analysis.onset_metrics(i_det, i_det_base, ana.local_window_width, ana.onset_threshold)
-        )
-        col_null, col_det = i_null.values, i_det.values
-        col_comb, col_kick = i_comb.values, i_kick.values
+        vis.update(m.visibility)
+        summary["p_det"] = m.p_det
+        summary["onset_null"] = _onset_payload(m.onset_null)
+        summary["onset_detected"] = _onset_payload(m.onset_detected)
+        columns.update((f"I_{k}", prof.values) for k, prof in m.profiles.items())
     else:
         # Detector-off runs still emit all columns; the channel columns
         # are zero and the summary says why.
         summary["p_det"] = None
         summary["note"] = "detector disabled: channel columns are zero"
-        col_null = col_det = col_comb = col_kick = zeros
+        for k in ("null", "detected", "combined", "kick_reference"):
+            columns[f"I_{k}"] = np.zeros_like(i_two.values)
     summary["visibility"] = vis
     summary["warnings"] = [
         {"code": issue.code, "message": issue.message} for issue in report.warnings()
     ]
 
-    for name, col in [
-        ("I_no_detector", i_two.values),
-        ("I_null", col_null),
-        ("I_detected", col_det),
-        ("I_combined", col_comb),
-        ("I_kick_reference", col_kick),
-    ]:
+    for name, col in columns.items():
         if not bool(np.all(np.isfinite(col))):
             raise NumericalError(f"non-finite values in {name}")
 
     artifacts: dict[str, str] = {}
     if cfg.output.emit_csv:
-        artifacts["intensity.csv"] = _csv_text(
-            ["x_bohr", "I_no_detector", "I_null", "I_detected", "I_combined", "I_kick_reference"],
-            [x, i_two.values, col_null, col_det, col_comb, col_kick],
-        )
+        artifacts["intensity.csv"] = _csv_text(["x_bohr", *columns], [x, *columns.values()])
     if cfg.output.emit_json:
         artifacts["summary.json"] = _json_text(summary)
     if cfg.output.emit_svg:
-        artifacts["intensity.svg"] = _svg_text(
-            x,
-            {
-                "I_no_detector": i_two.values,
-                "I_null": col_null,
-                "I_detected": col_det,
-                "I_combined": col_comb,
-                "I_kick_reference": col_kick,
-            },
-        )
+        artifacts["intensity.svg"] = _svg_text(x, columns)
     return artifacts
-
-
-def cmd_simulate(cfg: RunConfig) -> int:
-    artifacts = _simulate_artifacts(cfg)
-    out = Path(cfg.output.directory)
-    for name, text in artifacts.items():
-        _write_atomic(out / name, text)
-    return EXIT_OK
 
 
 def _sweep_artifacts(cfg: RunConfig) -> dict[str, str]:
@@ -236,15 +200,9 @@ def _sweep_artifacts(cfg: RunConfig) -> dict[str, str]:
         local_window_width=ana.local_window_width,
         onset_threshold=ana.onset_threshold,
     )
-    cols = analysis.SweepTable.COLUMNS
-    lines = [",".join(cols)]
-    for row in table.rows:
-        lines.append(",".join(_fmt(getattr(row, c)) for c in cols))
-    onset_d = None
-    for row in table.rows:
-        if row.visibility_combined > ana.onset_threshold:
-            onset_d = row.d
-            break
+    onset_d = next(
+        (row.d for row in table.rows if row.visibility_combined > ana.onset_threshold), None
+    )
     digest = {
         "onset_threshold": ana.onset_threshold,
         "onset_d": onset_d,
@@ -252,18 +210,11 @@ def _sweep_artifacts(cfg: RunConfig) -> dict[str, str]:
     }
     artifacts: dict[str, str] = {}
     if cfg.output.emit_csv:
-        artifacts["sweep.csv"] = "\n".join(lines) + "\n"
+        cols = analysis.SweepTable.COLUMNS
+        artifacts["sweep.csv"] = _csv_text(cols, [[getattr(r, c) for r in table.rows] for c in cols])
     if cfg.output.emit_json:
         artifacts["sweep_digest.json"] = _json_text(digest)
     return artifacts
-
-
-def cmd_sweep(cfg: RunConfig) -> int:
-    artifacts = _sweep_artifacts(cfg)
-    out = Path(cfg.output.directory)
-    for name, text in artifacts.items():
-        _write_atomic(out / name, text)
-    return EXIT_OK
 
 
 def _bundle_rows(bundle_id: str, bundle: paths_mod.PathBundle, lines: list[str]) -> None:
@@ -288,53 +239,27 @@ def _paths_artifacts(cfg: RunConfig, seed_override: int | None) -> dict[str, str
     at_a = SpacetimeEvent(x=app.slit_A_center, z=app.L1, t=t1)
     at_b = SpacetimeEvent(x=app.slit_B_center, z=app.L1, t=t1)
 
-    s_to_a = paths_mod.sample_bundle(source, at_a, ps.n_paths, ps.n_slices, part, seed, stream=0)
+    def bundle(start: SpacetimeEvent, end: SpacetimeEvent, stream: int) -> paths_mod.PathBundle:
+        return paths_mod.sample_bundle(start, end, ps.n_paths, ps.n_slices, part, seed, stream=stream)
+
+    s_to_a = bundle(source, at_a, 0)
     if det.enabled:
-        # B-bound paths terminate at interaction sites spread across the
-        # disc.  A per-path linear tilt moves the endpoint; a bridge plus
-        # a linear drift is still a bridge, so statistics are unchanged.
-        eps = det.depth_epsilon
-        t_disc = (app.L1 + eps) / v
-        disc_center = SpacetimeEvent(x=app.slit_B_center, z=app.L1 + eps, t=t_disc)
-        base = paths_mod.sample_bundle(
-            source, disc_center, ps.n_paths, ps.n_slices, part, seed, stream=1
-        )
-        n = ps.n_paths
-        site_offsets = [det.radius_rho * (2.0 * (j + 0.5) / n - 1.0) for j in range(n)]
-        tilted = []
-        for u, path in zip(site_offsets, base.paths):
-            events = tuple(
-                SpacetimeEvent(x=ev.x + u * (ev.t / t_disc), z=ev.z, t=ev.t)
-                for ev in path.events
-            )
-            tilted.append(paths_mod.Path(events=events))
+        # B-bound paths end at interaction sites spread across the disc.
+        z_disc = app.L1 + det.depth_epsilon
+        disc_center = SpacetimeEvent(x=app.slit_B_center, z=z_disc, t=z_disc / v)
         s_to_b = paths_mod.truncate_bundle(
-            paths_mod.PathBundle(
-                start=source, end=disc_center, paths=tuple(tilted), seed=seed
-            ),
+            paths_mod.spread_over_disc(bundle(source, disc_center, 1), det.radius_rho),
             disc_center_x=app.slit_B_center,
-            disc_center_z=app.L1 + eps,
+            disc_center_z=z_disc,
             radius=det.radius_rho,
         )
     else:
-        s_to_b = paths_mod.sample_bundle(
-            source, at_b, ps.n_paths, ps.n_slices, part, seed, stream=1
-        )
+        s_to_b = bundle(source, at_b, 1)
 
     targets = np.linspace(app.screen_min, app.screen_max, SCREEN_PATH_TARGETS)
-    a_bundles = []
-    b_bundles = []
-    for k, xt in enumerate(targets):
-        hit = SpacetimeEvent(x=float(xt), z=app.L1 + app.L2, t=t1 + t2)
-        a_bundles.append(
-            paths_mod.sample_bundle(at_a, hit, ps.n_paths, ps.n_slices, part, seed, stream=2 + k)
-        )
-        b_bundles.append(
-            paths_mod.sample_bundle(
-                at_b, hit, ps.n_paths, ps.n_slices, part, seed,
-                stream=2 + SCREEN_PATH_TARGETS + k,
-            )
-        )
+    hits = [SpacetimeEvent(x=float(xt), z=app.L1 + app.L2, t=t1 + t2) for xt in targets]
+    a_bundles = [bundle(at_a, hit, 2 + k) for k, hit in enumerate(hits)]
+    b_bundles = [bundle(at_b, hit, 2 + SCREEN_PATH_TARGETS + k) for k, hit in enumerate(hits)]
 
     lines = ["bundle_id,path_id,point_index,z_bohr,x_bohr,truncated"]
     _bundle_rows("S_to_A", s_to_a, lines)
@@ -348,13 +273,11 @@ def _paths_artifacts(cfg: RunConfig, seed_override: int | None) -> dict[str, str
     # screen.  Behind the barrier the bundles are well separated unless
     # the slit spacing shrinks to the disc scale, so the total drops to
     # zero exactly when the disc stops seeing A-side amplitude.
-    pairs: dict[str, int] = {}
-    total = 0
-    for k, b in enumerate(a_bundles):
-        n, _ = paths_mod.crossing_count(s_to_b, b)
-        pairs[f"S_to_B x A_to_screen_{k}"] = n
-        total += n
-    crossings = {"seed": seed, "pairs": pairs, "total": total}
+    pairs = {
+        f"S_to_B x A_to_screen_{k}": paths_mod.crossing_count(s_to_b, b)[0]
+        for k, b in enumerate(a_bundles)
+    }
+    crossings = {"seed": seed, "pairs": pairs, "total": sum(pairs.values())}
 
     artifacts: dict[str, str] = {}
     if cfg.output.emit_csv:
@@ -362,14 +285,6 @@ def _paths_artifacts(cfg: RunConfig, seed_override: int | None) -> dict[str, str
     if cfg.output.emit_json:
         artifacts["crossings.json"] = _json_text(crossings)
     return artifacts
-
-
-def cmd_paths(cfg: RunConfig, seed_override: int | None = None) -> int:
-    artifacts = _paths_artifacts(cfg, seed_override)
-    out = Path(cfg.output.directory)
-    for name, text in artifacts.items():
-        _write_atomic(out / name, text)
-    return EXIT_OK
 
 
 def cmd_uncertainty(confinement_size: float, mass: float, kinetic_energy: float) -> int:
@@ -430,10 +345,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.threads is not None:
             kernels.set_threads(args.threads)
         if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        return cmd_paths(cfg, seed_override=args.seed)
+            artifacts = _simulate_artifacts(cfg)
+        elif args.command == "sweep":
+            artifacts = _sweep_artifacts(cfg)
+        else:
+            artifacts = _paths_artifacts(cfg, seed_override=args.seed)
+        for name, text in artifacts.items():
+            _write_atomic(Path(cfg.output.directory) / name, text)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

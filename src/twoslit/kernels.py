@@ -62,10 +62,6 @@ def _pick_backend() -> tuple[str, str | None]:
 BACKEND, BACKEND_ERROR = _pick_backend()
 
 
-def using_numba() -> bool:
-    return BACKEND == "numba"
-
-
 def set_threads(n: int) -> None:
     """Set the numba thread count. Results never depend on it."""
     if HAVE_NUMBA and n >= 1:
@@ -257,23 +253,6 @@ def mc_phase_array(key, n_paths, n_slices, dx_total, t_total, mass, sigma):
 # Touching endpoints count as a crossing; exact orientation arithmetic is
 # not needed at the scales involved.
 # ---------------------------------------------------------------------------
-
-
-def _seg_intersect(p0z, p0x, p1z, p1x, q0z, q0x, q1z, q1x):
-    rz = p1z - p0z
-    rx = p1x - p0x
-    sz = q1z - q0z
-    sx = q1x - q0x
-    denom = rz * sx - rx * sz
-    qpz = q0z - p0z
-    qpx = q0x - p0x
-    if denom == 0.0:
-        return False, 0.0, 0.0
-    t = (qpz * sx - qpx * sz) / denom
-    u = (qpz * rx - qpx * rz) / denom
-    if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0:
-        return True, p0z + t * rz, p0x + t * rx
-    return False, 0.0, 0.0
 
 
 def _crossings_numpy(az, ax, alen, bz, bx, blen):

@@ -179,6 +179,23 @@ def truncate_bundle(
     return PathBundle(start=bundle.start, end=bundle.end, paths=tuple(out), seed=bundle.seed)
 
 
+def spread_over_disc(bundle: PathBundle, radius: float) -> PathBundle:
+    """Tilt path j, linearly in time, to end radius * (2(j + 0.5)/n - 1)
+    from the bundle's end: n sites spread evenly across a disc.  A bridge
+    plus a linear drift is still a bridge, so statistics are unchanged."""
+    n, t0 = len(bundle.paths), bundle.start.t
+    span = bundle.end.t - t0
+    tilted = []
+    for j, path in enumerate(bundle.paths):
+        u = radius * (2.0 * (j + 0.5) / n - 1.0)
+        events = tuple(
+            SpacetimeEvent(x=ev.x + u * ((ev.t - t0) / span), z=ev.z, t=ev.t)
+            for ev in path.events
+        )
+        tilted.append(Path(events=events))
+    return PathBundle(start=bundle.start, end=bundle.end, paths=tuple(tilted), seed=bundle.seed)
+
+
 def _packed_coords(bundle: PathBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = len(bundle.paths)
     lens = np.array([len(p.events) for p in bundle.paths], dtype=np.int64)

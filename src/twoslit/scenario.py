@@ -18,6 +18,14 @@ kick_reference   |psi_A|^2 + |psi_B|^2 + 2*gamma*Re(psi_A conj(psi_B))
                  with gamma = exp(-(pi*d/lambda_ph)^2 / 2), an
                  independent decoherence surrogate used as an oracle
 
+ChannelSet derives every channel of one geometry from these fields, each
+propagated once, in order: psi_A and psi_B at the screen; the B stub at
+the disc (p_det from its power, or the override); the trapped A field at
+the disc, only when A's cone reaches it; the stub's screen image (also
+the stub-only baseline); the detected image propagate(stub + trapped),
+the stub image itself when nothing is trapped.  That is 4 propagations
+per geometry, 6 when A's cone reaches the disc.
+
 The disc restriction multiplies by a flat-top window with C-infinity
 edges (support exactly [x_B - rho, x_B + rho]); a hard edge would add
 knife-edge ripples that are artifacts of the restriction, not of the
@@ -29,11 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .apparatus import Apparatus, DetectorConfig, Particle, validate
-from .errors import InvalidArgumentError, InvalidStateError, PhysicsValidationError
+from .analysis import IntensityProfile, intensity
+from .apparatus import Apparatus, DetectorConfig, Particle
+from .errors import InvalidArgumentError, InvalidStateError
 from .propagator import GridSpec, PlaneField, point_source_field, propagate, transmitted_power
 
 # Flat fraction of the disc window; the outer 1 - DISC_EDGE_FLAT of each
@@ -91,12 +101,6 @@ def barrier_field(apparatus: Apparatus, particle: Particle, slit: str) -> PlaneF
     )
 
 
-def _check_valid(apparatus: Apparatus, detector: DetectorConfig, particle: Particle) -> None:
-    report = validate(apparatus, detector, particle)
-    if not report.ok:
-        raise PhysicsValidationError(report)
-
-
 def one_slit_amplitude(apparatus: Apparatus, particle: Particle, slit: str) -> ChannelField:
     f = barrier_field(apparatus, particle, slit)
     out = propagate(f, apparatus.L2, particle, screen_grid(apparatus))
@@ -146,14 +150,21 @@ def _require_detector(apparatus: Apparatus, detector: DetectorConfig) -> None:
         )
 
 
+def _disc_capture(
+    apparatus: Apparatus, detector: DetectorConfig, particle: Particle, slit: str
+) -> PlaneField:
+    """One slit's amplitude carried over epsilon to the disc window."""
+    grid = _disc_grid(apparatus, detector, particle)
+    f = propagate(barrier_field(apparatus, particle, slit), detector.depth_epsilon, particle, grid)
+    w = disc_window((f.x - apparatus.slit_B_center) / detector.radius_rho)
+    return PlaneField(z_label=f.z_label, x=f.x, values=f.values * w, dx=f.dx)
+
+
 def stub_source(apparatus: Apparatus, detector: DetectorConfig, particle: Particle) -> PlaneField:
     """Slit-B amplitude carried to the disc plane and terminated there:
     propagated over epsilon, then restricted to the disc window."""
     _require_detector(apparatus, detector)
-    grid = _disc_grid(apparatus, detector, particle)
-    f = propagate(barrier_field(apparatus, particle, "B"), detector.depth_epsilon, particle, grid)
-    w = disc_window((f.x - apparatus.slit_B_center) / detector.radius_rho)
-    return PlaneField(z_label=f.z_label, x=f.x, values=f.values * w, dx=f.dx)
+    return _disc_capture(apparatus, detector, particle, "B")
 
 
 def trapped_a_source(
@@ -178,10 +189,7 @@ def trapped_a_source(
     disc_hi = apparatus.slit_B_center + rho
     if cone_hi <= disc_lo or cone_lo >= disc_hi:
         return None
-    grid = _disc_grid(apparatus, detector, particle)
-    f = propagate(barrier_field(apparatus, particle, "A"), eps, particle, grid)
-    w = disc_window((f.x - apparatus.slit_B_center) / rho)
-    return PlaneField(z_label=f.z_label, x=f.x, values=f.values * w, dx=f.dx)
+    return _disc_capture(apparatus, detector, particle, "A")
 
 
 def crossing_window(apparatus: Apparatus, detector: DetectorConfig) -> CrossingWindow:
@@ -202,73 +210,134 @@ def crossing_window(apparatus: Apparatus, detector: DetectorConfig) -> CrossingW
     )
 
 
+class ChannelSet:
+    """Every channel of one apparatus geometry.  Each field and channel
+    is computed on first use and kept, so each distinct propagation runs
+    at most once; a set shares nothing with any other set."""
+
+    def __init__(self, apparatus: Apparatus, detector: DetectorConfig, particle: Particle):
+        self.apparatus, self.detector, self.particle = apparatus, detector, particle
+
+    def _disc_to_screen(self, source: PlaneField) -> PlaneField:
+        app = self.apparatus
+        return propagate(source, app.L2 - self.detector.depth_epsilon, self.particle, screen_grid(app))
+
+    @cached_property
+    def psi_a(self) -> PlaneField:
+        return one_slit_amplitude(self.apparatus, self.particle, "A").field
+
+    @cached_property
+    def psi_b(self) -> PlaneField:
+        return one_slit_amplitude(self.apparatus, self.particle, "B").field
+
+    @cached_property
+    def stub(self) -> PlaneField:
+        return stub_source(self.apparatus, self.detector, self.particle)
+
+    @cached_property
+    def trapped(self) -> PlaneField | None:
+        return trapped_a_source(self.apparatus, self.detector, self.particle)
+
+    @cached_property
+    def p_det(self) -> float:
+        """Probability that the detector fires: disc-captured B power over
+        total transmitted power (or the configured override)."""
+        app, det, part = self.apparatus, self.detector, self.particle
+        _require_detector(app, det)
+        if det.detection_probability_override is not None:
+            return det.detection_probability_override
+        total = sum(transmitted_power(barrier_field(app, part, slit)) for slit in "AB")
+        return min(max(transmitted_power(self.stub) / total, 0.0), 1.0)
+
+    @cached_property
+    def stub_image(self) -> PlaneField:
+        return self._disc_to_screen(self.stub)
+
+    @cached_property
+    def detected_image(self) -> PlaneField:
+        """propagate(stub + trapped): the sum is formed at the disc, not on
+        the screen.  With nothing trapped it is the stub image itself."""
+        if self.trapped is None:
+            return self.stub_image
+        src = self.stub
+        both = PlaneField(src.z_label, src.x, src.values + self.trapped.values, src.dx)
+        return self._disc_to_screen(both)
+
+    @cached_property
+    def no_detector(self) -> ChannelField:
+        a, b = self.psi_a, self.psi_b
+        return ChannelField("no_detector", PlaneField(a.z_label, a.x, a.values + b.values, a.dx), 1.0)
+
+    @cached_property
+    def null(self) -> ChannelField:
+        """psi_A plus the stub image masked to the crossing window, ramped
+        over one grid cell; psi_A alone when the window misses the screen."""
+        weight = 1.0 - self.p_det
+        psi_a = self.psi_a
+        win = crossing_window(self.apparatus, self.detector)
+        dx = psi_a.dx
+        if not win.intersects(psi_a.grid_min - dx, psi_a.grid_max + dx):
+            return ChannelField(channel="null_detection", field=psi_a, probability_weight=weight)
+        ramp_lo = (psi_a.x - (win.screen_lo - dx)) / dx
+        ramp_hi = ((win.screen_hi + dx) - psi_a.x) / dx
+        w = np.clip(np.minimum(ramp_lo, ramp_hi), 0.0, 1.0)
+        values = psi_a.values + w * self.stub_image.values
+        field = PlaneField(z_label=psi_a.z_label, x=psi_a.x, values=values, dx=dx)
+        return ChannelField(channel="null_detection", field=field, probability_weight=weight)
+
+    @cached_property
+    def detected(self) -> ChannelField:
+        return ChannelField("detected_at_B", self.detected_image, self.p_det)
+
+    @cached_property
+    def detected_baseline(self) -> ChannelField:
+        """Stub-only re-emission, the detected channel's baseline."""
+        return ChannelField("detected_at_B", self.stub_image, self.p_det)
+
+    @cached_property
+    def combined(self) -> IntensityProfile:
+        return combined_intensity(self.null, self.detected, self.p_det)
+
+    @cached_property
+    def kick_reference(self) -> IntensityProfile:
+        """Two-slit pattern with the cross term damped by gamma(d, lambda_ph)."""
+        if not self.detector.enabled:
+            raise InvalidStateError("detector is disabled")
+        a, b = self.psi_a.values, self.psi_b.values
+        gamma = kick_visibility_factor(self.apparatus.slit_separation, self.detector.photon_wavelength)
+        vals = np.abs(a) ** 2 + np.abs(b) ** 2 + 2.0 * gamma * np.real(a * np.conj(b))
+        area = float(np.trapezoid(vals, self.psi_a.x))
+        if not (area > 0.0):
+            raise InvalidArgumentError("kick reference pattern has zero total intensity")
+        return IntensityProfile(x=self.psi_a.x, values=vals / area, dx=self.psi_a.dx, normalized=True)
+
+
 def detection_probability(
     apparatus: Apparatus, detector: DetectorConfig, particle: Particle
 ) -> float:
-    """Probability that the detector fires: disc-captured B power over
-    total transmitted power (or the configured override)."""
-    _require_detector(apparatus, detector)
-    if detector.detection_probability_override is not None:
-        return detector.detection_probability_override
-    captured = transmitted_power(stub_source(apparatus, detector, particle))
-    total = transmitted_power(barrier_field(apparatus, particle, "A")) + transmitted_power(
-        barrier_field(apparatus, particle, "B")
-    )
-    return min(max(captured / total, 0.0), 1.0)
+    """Probability that the detector fires (see ChannelSet.p_det)."""
+    return ChannelSet(apparatus, detector, particle).p_det
 
 
 def null_channel_amplitude(
     apparatus: Apparatus, detector: DetectorConfig, particle: Particle
 ) -> ChannelField:
-    """Screen amplitude when the detector stays silent.
-
-    psi_A plus the terminated B stub, the latter masked to the crossing
-    window (ramped over one grid cell).  When the window misses the
-    screen entirely the A amplitude is returned unchanged.
-    """
-    _require_detector(apparatus, detector)
-    psi_a = one_slit_amplitude(apparatus, particle, "A").field
-    weight = 1.0 - detection_probability(apparatus, detector, particle)
-    win = crossing_window(apparatus, detector)
-    dx = psi_a.dx
-    if not win.intersects(psi_a.grid_min - dx, psi_a.grid_max + dx):
-        return ChannelField(channel="null_detection", field=psi_a, probability_weight=weight)
-    src = stub_source(apparatus, detector, particle)
-    psi_stub = propagate(src, apparatus.L2 - detector.depth_epsilon, particle, screen_grid(apparatus))
-    ramp_lo = (psi_a.x - (win.screen_lo - dx)) / dx
-    ramp_hi = ((win.screen_hi + dx) - psi_a.x) / dx
-    w = np.clip(np.minimum(ramp_lo, ramp_hi), 0.0, 1.0)
-    values = psi_a.values + w * psi_stub.values
-    field = PlaneField(z_label=psi_a.z_label, x=psi_a.x, values=values, dx=dx)
-    return ChannelField(channel="null_detection", field=field, probability_weight=weight)
+    """Screen amplitude when the detector stays silent."""
+    return ChannelSet(apparatus, detector, particle).null
 
 
 def detected_channel_amplitude(
-    apparatus: Apparatus,
-    detector: DetectorConfig,
-    particle: Particle,
-    include_trapped: bool = True,
+    apparatus: Apparatus, detector: DetectorConfig, particle: Particle, include_trapped: bool = True
 ) -> ChannelField:
     """Screen amplitude after a detection at B: the disc re-emits the
     stub plus the trapped part of A's cone.  include_trapped=False gives
     the stub-only re-emission (the no-interference baseline)."""
-    _require_detector(apparatus, detector)
-    src = stub_source(apparatus, detector, particle)
-    if include_trapped:
-        trapped = trapped_a_source(apparatus, detector, particle)
-        if trapped is not None:
-            src = PlaneField(
-                z_label=src.z_label, x=src.x, values=src.values + trapped.values, dx=src.dx
-            )
-    out = propagate(src, apparatus.L2 - detector.depth_epsilon, particle, screen_grid(apparatus))
-    weight = detection_probability(apparatus, detector, particle)
-    return ChannelField(channel="detected_at_B", field=out, probability_weight=weight)
+    channels = ChannelSet(apparatus, detector, particle)
+    return channels.detected if include_trapped else channels.detected_baseline
 
 
-def combined_intensity(null: ChannelField, det: ChannelField, p_det: float):
+def combined_intensity(null: ChannelField, det: ChannelField, p_det: float) -> IntensityProfile:
     """Convex mixture of the unit-area channel intensities."""
-    from .analysis import IntensityProfile, intensity
-
     if not (0.0 <= p_det <= 1.0):
         raise InvalidArgumentError(f"p_det must lie in [0,1], got {p_det}")
     fa, fb = null.field, det.field
@@ -292,21 +361,6 @@ def kick_visibility_factor(d: float, photon_wavelength: float) -> float:
 
 def kick_reference_intensity(
     apparatus: Apparatus, detector: DetectorConfig, particle: Particle
-):
+) -> IntensityProfile:
     """Two-slit pattern with the cross term damped by gamma(d, lambda_ph)."""
-    from .analysis import IntensityProfile
-
-    if not detector.enabled:
-        raise InvalidStateError("detector is disabled")
-    a = one_slit_amplitude(apparatus, particle, "A").field
-    b = one_slit_amplitude(apparatus, particle, "B").field
-    gamma = kick_visibility_factor(apparatus.slit_separation, detector.photon_wavelength)
-    vals = (
-        np.abs(a.values) ** 2
-        + np.abs(b.values) ** 2
-        + 2.0 * gamma * np.real(a.values * np.conj(b.values))
-    )
-    area = float(np.trapezoid(vals, a.x))
-    if not (area > 0.0):
-        raise InvalidArgumentError("kick reference pattern has zero total intensity")
-    return IntensityProfile(x=a.x, values=vals / area, dx=a.dx, normalized=True)
+    return ChannelSet(apparatus, detector, particle).kick_reference

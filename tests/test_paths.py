@@ -13,6 +13,7 @@ from twoslit.paths import (
     mc_kernel_estimate,
     path_action,
     sample_bundle,
+    spread_over_disc,
     truncate_bundle,
 )
 from twoslit.propagator import free_kernel
@@ -138,3 +139,15 @@ def test_crossing_count_parallel():
     b = _line_bundle(0.5, 1.5)
     n, _ = crossing_count(a, b)
     assert n == 0
+
+
+def test_spread_over_disc(particle):
+    b = sample_bundle(START, END, n_paths=4, n_slices=8, particle=particle, seed=7)
+    spread = spread_over_disc(b, radius=2.0)
+    assert (spread.start, spread.end, spread.seed) == (b.start, b.end, b.seed)
+    for j, (p, q) in enumerate(zip(b.paths, spread.paths)):
+        # sites at -1.5, -0.5, 0.5, 1.5 around the end; the start stays put
+        assert q.events[0] == p.events[0]
+        assert q.events[-1].x == pytest.approx(END.x + 2.0 * (2.0 * (j + 0.5) / 4 - 1.0), abs=1e-12)
+        assert [e.t for e in q.events] == [e.t for e in p.events]
+        assert [e.z for e in q.events] == [e.z for e in p.events]
