@@ -149,6 +149,27 @@ def make_detector(
     )
 
 
+# Disc-plane quadrature: points per radian of the fastest integrand phase,
+# clamped to [DISC_N_MIN, DISC_N_MAX] samples.
+_DISC_POINTS_PER_RADIAN = 4.0
+DISC_N_MIN = 128
+DISC_N_MAX = 32768
+
+
+def disc_samples_required(apparatus: Apparatus, detector: DetectorConfig, particle: Particle) -> int:
+    """Disc-plane samples needed to resolve the incoming stub phase and
+    the outgoing screen phase, before the [DISC_N_MIN, DISC_N_MAX] clamp.
+    Needs depth_epsilon < L2."""
+    rho = detector.radius_rho
+    eps = detector.depth_epsilon
+    a = apparatus
+    screen_abs = max(abs(a.screen_min), abs(a.screen_max))
+    rate = particle.momentum * (
+        (rho + a.slit_width) / eps + (screen_abs + rho + abs(a.slit_B_center)) / (a.L2 - eps)
+    )
+    return int(math.ceil(2.0 * rho * rate * _DISC_POINTS_PER_RADIAN))
+
+
 @dataclass(frozen=True)
 class Issue:
     severity: str  # "error" | "warning"
@@ -230,6 +251,14 @@ def validate(apparatus: Apparatus, detector: DetectorConfig, particle: Particle)
                 f"detector does not cover slit B: radius_rho={detector.radius_rho} "
                 f"< slit_width/2={0.5 * a.slit_width}",
             )
+        if detector.enabled and detector.depth_epsilon < a.L2:
+            need = disc_samples_required(a, detector, particle)
+            if need > DISC_N_MAX:
+                warn(
+                    "disc_grid_clamped",
+                    f"disc grid clamped: resolving the disc-plane phase needs {need} samples, "
+                    f"the cap is {DISC_N_MAX}",
+                )
         fresnel = a.slit_width**2 / (lam * a.L2)
         if fresnel > 0.1:
             warn(

@@ -2,8 +2,9 @@
 
 Subcommands: simulate | sweep | paths | uncertainty.  Config-driven
 commands take --config plus optional --out (overrides the output
-directory), --seed (overrides paths.seed), and --threads (kernel worker
-count; results are identical for any value).
+directory), --seed (overrides paths.seed), and --threads (accepted and
+ignored: the numpy kernels take no worker count, and results never
+depended on it).
 
 The CLI parses, dispatches, serializes and writes.  simulate measures
 one scenario.ChannelSet with analysis.measure_channels: 4 propagations,
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__, analysis, kernels, scenario
+from . import __version__, analysis, scenario
 from . import paths as paths_mod
 from .apparatus import ValidationReport, validate
 from .config import RunConfig, load_config
@@ -313,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--out", help="output directory (overrides output.directory)")
         p.add_argument("--seed", type=int, help="RNG seed (overrides paths.seed)")
-        p.add_argument("--threads", type=int, help="kernel worker count; does not affect results")
+        p.add_argument("--threads", type=int, help="ignored; kept so existing invocations still parse")
 
     u = sub.add_parser("uncertainty")
     u.add_argument("D", type=float, help="confinement size in bohr")
@@ -324,10 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-
-    if kernels.BACKEND_ERROR is not None:
-        print(f"error: {kernels.BACKEND_ERROR}", file=sys.stderr)
-        return EXIT_USAGE
 
     if args.command == "uncertainty":
         try:
@@ -342,8 +339,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             from dataclasses import replace
 
             cfg = replace(cfg, output=replace(cfg.output, directory=args.out))
-        if args.threads is not None:
-            kernels.set_threads(args.threads)
         if args.command == "simulate":
             artifacts = _simulate_artifacts(cfg)
         elif args.command == "sweep":

@@ -42,7 +42,14 @@ from functools import cached_property
 import numpy as np
 
 from .analysis import IntensityProfile, intensity
-from .apparatus import Apparatus, DetectorConfig, Particle
+from .apparatus import (
+    DISC_N_MAX,
+    DISC_N_MIN,
+    Apparatus,
+    DetectorConfig,
+    Particle,
+    disc_samples_required,
+)
 from .errors import InvalidArgumentError, InvalidStateError
 from .propagator import GridSpec, PlaneField, point_source_field, propagate, transmitted_power
 
@@ -51,11 +58,6 @@ from .propagator import GridSpec, PlaneField, point_source_field, propagate, tra
 # must reach past |u| = 0.5 so that at d = rho/2 the trapped slit-A
 # amplitude (centered at u = -0.5) re-emits both directions unattenuated.
 DISC_EDGE_FLAT = 0.8
-
-# Disc quadrature: points per radian of the fastest integrand phase.
-_DISC_POINTS_PER_RADIAN = 4.0
-_DISC_N_MIN = 128
-_DISC_N_MAX = 32768
 
 
 @dataclass(frozen=True)
@@ -129,15 +131,10 @@ def disc_window(u: np.ndarray) -> np.ndarray:
 
 def _disc_grid(apparatus: Apparatus, detector: DetectorConfig, particle: Particle) -> GridSpec:
     """Disc-plane grid fine enough for the incoming stub phase and the
-    outgoing screen phase."""
-    rho = detector.radius_rho
-    eps = detector.depth_epsilon
-    p = particle.momentum
-    x_b = apparatus.slit_B_center
-    screen_abs = max(abs(apparatus.screen_min), abs(apparatus.screen_max))
-    rate = p * ((rho + apparatus.slit_width) / eps + (screen_abs + rho + abs(x_b)) / (apparatus.L2 - eps))
-    n = int(math.ceil(2.0 * rho * rate * _DISC_POINTS_PER_RADIAN))
-    n = min(max(n, _DISC_N_MIN), _DISC_N_MAX)
+    outgoing screen phase, within the sample-count clamp (validate warns
+    when the clamp bites)."""
+    n = min(max(disc_samples_required(apparatus, detector, particle), DISC_N_MIN), DISC_N_MAX)
+    x_b, rho = apparatus.slit_B_center, detector.radius_rho
     return GridSpec(x_b - rho, x_b + rho, n, cell_centered=True)
 
 

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from twoslit.apparatus import (
     BOHR_PER_CM,
+    DISC_N_MAX,
     Apparatus,
     cm_to_bohr,
+    disc_samples_required,
     make_detector,
     make_particle,
     validate,
@@ -135,3 +137,17 @@ def test_validate_warnings(desk_apparatus, desk_particle):
     near = dataclasses.replace(desk_apparatus, slit_width=5000.0, slit_A_center=-10000.0, slit_B_center=10000.0)
     codes = {i.code for i in validate(near, det, desk_particle).warnings()}
     assert "near_field" in codes
+
+
+def test_validate_warns_when_disc_grid_is_clamped(desk_apparatus, desk_particle):
+    det = make_detector(enabled=True, photon_wavelength=20.0, radius_rho=20.0, depth_epsilon=5.0)
+    assert disc_samples_required(desk_apparatus, det, desk_particle) == 993
+    assert "disc_grid_clamped" not in {i.code for i in validate(desk_apparatus, det, desk_particle).warnings()}
+
+    wide = make_detector(enabled=True, photon_wavelength=20.0, radius_rho=1000.0, depth_epsilon=5.0)
+    need = disc_samples_required(desk_apparatus, wide, desk_particle)
+    assert need > DISC_N_MAX
+    report = validate(desk_apparatus, wide, desk_particle)
+    assert report.ok
+    (issue,) = [i for i in report.warnings() if i.code == "disc_grid_clamped"]
+    assert str(need) in issue.message and str(DISC_N_MAX) in issue.message

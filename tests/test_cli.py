@@ -6,6 +6,7 @@ import pytest
 from twoslit.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 OK = str(DATA / "golden_ok.json")
 BAD_SCHEMA = str(DATA / "golden_bad_schema.json")
 BAD_PHYSICS = str(DATA / "golden_bad_physics.json")
@@ -62,24 +63,6 @@ def test_physics_error_exits_3_without_artifacts(tmp_path: Path, capsys):
 def test_missing_config_exits_2(tmp_path: Path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
-
-
-def test_unknown_backend_env_exits_2():
-    # The backend is chosen at import time, so this needs a fresh process.
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, TWOSLIT_BACKEND="garbage")
-    proc = subprocess.run(
-        [sys.executable, "-m", "twoslit", "uncertainty", "1", "1", "1"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 2
-    assert "TWOSLIT_BACKEND" in proc.stderr
-    assert proc.stdout == ""
 
 
 def _variant(tmp_path: Path, **changes) -> str:
@@ -153,6 +136,31 @@ def test_paths_golden_ok(tmp_path: Path):
     crossings = json.loads((out / "crossings.json").read_text())
     assert crossings["seed"] == 11
     assert crossings["total"] == sum(crossings["pairs"].values())
+
+
+# Desk crossing totals per slit separation at seed 20240811: none while
+# the bundles behind the barrier are apart, then more as d shrinks to the
+# disc scale (rho = 20).
+DESK_CROSSING_TOTALS = {
+    2000.0: 0, 1200.0: 0, 600.0: 0, 300.0: 0, 100.0: 0, 50.0: 0,
+    25.0: 512, 15.0: 2560, 10.0: 3072, 5.0: 3072,
+}
+
+
+def test_paths_desk_crossing_totals_per_separation(tmp_path: Path):
+    desk = json.loads((CONFIGS / "desk.json").read_text())
+    assert list(DESK_CROSSING_TOTALS) == desk["sweep"]["d_values"]
+    mid = 0.5 * (desk["apparatus"]["slit_A_center"] + desk["apparatus"]["slit_B_center"])
+    totals = {}
+    for d in desk["sweep"]["d_values"]:
+        desk["apparatus"]["slit_A_center"] = mid - 0.5 * d
+        desk["apparatus"]["slit_B_center"] = mid + 0.5 * d
+        cfg = tmp_path / f"desk_d{d:g}.json"
+        cfg.write_text(json.dumps(desk), encoding="utf-8")
+        out = tmp_path / f"out_d{d:g}"
+        assert main(["paths", "--config", str(cfg), "--out", str(out), "--seed", "20240811"]) == 0
+        totals[d] = json.loads((out / "crossings.json").read_text())["total"]
+    assert totals == DESK_CROSSING_TOTALS
 
 
 def test_paths_seed_override_and_determinism(tmp_path: Path):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from twoslit import kernels
 from twoslit.apparatus import make_particle
 from twoslit.errors import InvalidArgumentError
 from twoslit.paths import (
@@ -151,3 +154,101 @@ def test_spread_over_disc(particle):
         assert q.events[-1].x == pytest.approx(END.x + 2.0 * (2.0 * (j + 0.5) / 4 - 1.0), abs=1e-12)
         assert [e.t for e in q.events] == [e.t for e in p.events]
         assert [e.z for e in q.events] == [e.z for e in p.events]
+
+
+def _all_pairs_crossings(az, ax, alen, bz, bx, blen):
+    """Oracle: every segment of every a path against every segment of
+    every b path.  Returns (i, j, a_seg, b_seg, z, x) per hit, in
+    (path a, path b, segment a, segment b) order."""
+    hits = []
+    for i in range(az.shape[0]):
+        na = alen[i]
+        p0z, p0x = az[i, : na - 1], ax[i, : na - 1]
+        rz, rx = az[i, 1:na] - p0z, ax[i, 1:na] - p0x
+        for j in range(bz.shape[0]):
+            nb = blen[j]
+            q0z, q0x = bz[j, : nb - 1], bx[j, : nb - 1]
+            sz, sx = bz[j, 1:nb] - q0z, bx[j, 1:nb] - q0x
+            denom = rz[:, None] * sx[None, :] - rx[:, None] * sz[None, :]
+            qpz = q0z[None, :] - p0z[:, None]
+            qpx = q0x[None, :] - p0x[:, None]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                t = (qpz * sx[None, :] - qpx * sz[None, :]) / denom
+                u = (qpz * rx[:, None] - qpx * rz[:, None]) / denom
+            hit = (denom != 0.0) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
+            for a_seg, b_seg in zip(*np.nonzero(hit)):
+                tt = t[a_seg, b_seg]
+                zc, xc = p0z[a_seg] + tt * rz[a_seg], p0x[a_seg] + tt * rx[a_seg]
+                hits.append((i, j, a_seg, b_seg, zc, xc))
+    return hits
+
+
+def _bits(points):
+    return [(float(z).hex(), float(x).hex()) for z, x in points]
+
+
+def _coords(draw, values, n):
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)), np.float64)
+
+
+@st.composite
+def _packed_bundle(draw, values, linear_z: bool, line=None):
+    """Packed (z, x, lens) with ragged lengths; padding past a path's
+    length holds arbitrary values that must never match.  With a line
+    (slope, offset) every point lies on x = offset + slope * z."""
+    n_paths = draw(st.integers(1, 4))
+    width = draw(st.integers(2, 7))
+    lens = draw(st.lists(st.integers(1, width), min_size=n_paths, max_size=n_paths))
+    if linear_z:
+        z0, dz = draw(values), draw(values.filter(lambda v: v > 0.0))
+        z = np.tile(z0 + dz * np.arange(width), n_paths)
+    else:
+        z = _coords(draw, values, n_paths * width)
+    x = _coords(draw, values, n_paths * width) if line is None else line[1] + line[0] * z
+    return z.reshape(n_paths, width), x.reshape(n_paths, width), np.array(lens, np.int64)
+
+
+def _bundle_pair(values, line=None):
+    return st.booleans().flatmap(
+        lambda lin: st.tuples(_packed_bundle(values, lin, line), _packed_bundle(values, lin, line))
+    )
+
+
+# Multiples of 1/8: every product and difference in the hit test is exact,
+# so the all-pairs hits are exactly the true crossings.
+_GRID = st.integers(-64, 64).map(lambda k: k / 8.0)
+_FLOAT = st.floats(-8.0, 8.0, allow_nan=False, allow_subnormal=False)
+
+
+@given(_bundle_pair(_GRID))
+def test_segment_crossings_match_all_pairs_oracle(bundles):
+    (az, ax, alen), (bz, bx, blen) = bundles
+    got = kernels.segment_crossings(az, ax, alen, bz, bx, blen)
+    want = _all_pairs_crossings(az, ax, alen, bz, bx, blen)
+    assert _bits(got) == _bits(h[4:] for h in want)
+
+
+def _is_subsequence(short, long):
+    rest = iter(long)
+    return all(item in rest for item in short)
+
+
+@given(st.one_of(_bundle_pair(_FLOAT), st.tuples(_FLOAT, _FLOAT).flatmap(lambda ln: _bundle_pair(_FLOAT, ln))))
+def test_segment_crossings_skip_only_z_disjoint_pairs(bundles):
+    # On arbitrary floats, and on bundles along one shared line where the
+    # all-pairs denom is rounding noise, the kernel returns the oracle's
+    # hits in order, keeping every hit between segments that share some z
+    # and dropping at most hits between z-disjoint segments, which are no
+    # crossings.
+    (az, ax, alen), (bz, bx, blen) = bundles
+    got = _bits(kernels.segment_crossings(az, ax, alen, bz, bx, blen))
+    hits = _all_pairs_crossings(az, ax, alen, bz, bx, blen)
+
+    def share_z(i, j, sa, sb):
+        a_lo, a_hi = sorted(az[i, sa : sa + 2])
+        b_lo, b_hi = sorted(bz[j, sb : sb + 2])
+        return a_lo <= b_hi and b_lo <= a_hi
+
+    kept = _bits(h[4:] for h in hits if share_z(*h[:4]))
+    assert _is_subsequence(kept, got)
+    assert _is_subsequence(got, _bits(h[4:] for h in hits))
