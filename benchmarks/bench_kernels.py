@@ -2,7 +2,8 @@
 
 Runs the kernel-weighted inner loops (plane propagation, the Monte Carlo
 phase sum and segment crossings) on representative problem sizes and
-prints the best wall time of each.  Usage:
+prints the best wall time of each, after the number of worker threads
+the row-blocked kernels use.  Usage:
 
     python benchmarks/bench_kernels.py [--repeats 5]
 """
@@ -66,6 +67,9 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
+    from twoslit import kernels
+
+    print(f"kernel workers: {kernels._WORKERS} (propagation and Monte Carlo row blocks)")
     width = max(len(name) for name, *_ in CASES)
     print(f"{'case'.ljust(width)}  {'best (s)':>10}")
     for name, kind, a, b in CASES:

@@ -1,11 +1,23 @@
 """Hot numeric kernels, in numpy.
 
 The quadrature propagation loop, the Monte Carlo bridge sampler, and the
-segment-crossing counter dominate runtime.  Every output element is a
-fixed-order reduction, so results do not depend on thread count or
-scheduling.  Random streams are counter-based (splitmix-style hash of
-seed and index), so path samples depend only on (seed, path_id,
-slice_id).
+segment-crossing counter dominate runtime.  Random streams are
+counter-based (splitmix-style hash of seed and index), so path samples
+depend only on (seed, path_id, slice_id).
+
+Propagation and the Monte Carlo phase sum work in row blocks of about
+2^16 elements (~1 MiB of complex temporaries): a block of output rows of
+the propagation, a block of paths of the phase sum.  Each output element
+is a reduction over one row, of fixed length and order, whatever block
+holds the row, so the bytes do not depend on the block size, the worker
+count or the scheduling.  Blocks write disjoint slices of the output and
+numpy releases the GIL in their loops, so they run on one thread pool
+sized from the CPU affinity of the process (``os.sched_getaffinity``,
+else ``os.cpu_count()``), created on the first call with several
+blocks; with one CPU or one block they run inline.  Module-level
+functions here may be wrapped by the single-threaded tracer in
+``perfbench/tracing.py``, so worker threads run only nested closures and
+numpy.
 
 Segment crossings are pruned by z-slab (a special case of interval
 pruning in sweep-line intersection; Shamos & Hoey 1976, Bentley &
@@ -25,6 +37,9 @@ column pair instead of n_slices^2.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -54,9 +69,9 @@ def stream_key(seed: int, stream: int) -> int:
     return mix64((mix64(seed & _MASK) + (stream & _MASK) * _GOLDEN) & _MASK)
 
 
-def _normals(key: int, start: int, count: int) -> np.ndarray:
-    """count standard normals for draw indices start..start+count-1."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
+def _normal_rows(key: int, n_cols: int):
+    """Closure (s, e) -> the (e-s, n_cols) standard normals of rows s..e-1,
+    entry (p, k) being draw index p*n_cols + k under key."""
     k = np.uint64(key)
 
     def finalize(z: np.ndarray) -> np.ndarray:
@@ -66,12 +81,47 @@ def _normals(key: int, start: int, count: int) -> np.ndarray:
         z = z * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))
 
-    a = finalize(k + (np.uint64(2) * idx + np.uint64(1)) * np.uint64(_GOLDEN))
-    b = finalize(k + (np.uint64(2) * idx + np.uint64(2)) * np.uint64(_GOLDEN))
-    # (0,1] uniforms from the top 53 bits
-    u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0**-53)
-    u2 = (b >> np.uint64(11)).astype(np.float64) * (2.0**-53)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    def rows(s: int, e: int) -> np.ndarray:
+        idx = np.arange(s * n_cols, e * n_cols, dtype=np.uint64)
+        a = finalize(k + (np.uint64(2) * idx + np.uint64(1)) * np.uint64(_GOLDEN))
+        b = finalize(k + (np.uint64(2) * idx + np.uint64(2)) * np.uint64(_GOLDEN))
+        # (0,1] uniforms from the top 53 bits
+        u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0**-53)
+        u2 = (b >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+        return (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)).reshape(e - s, n_cols)
+
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Row blocks on a thread pool.
+# ---------------------------------------------------------------------------
+
+# Elements per row block.
+_BLOCK = 1 << 16
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _blocks(fn, n_rows: int, row_len: int) -> None:
+    """Call fn(s, e) once per block of rows s..e-1 covering range(n_rows),
+    with about _BLOCK elements per block; on the pool when there are
+    several blocks and several workers."""
+    global _POOL
+    step = max(1, _BLOCK // max(row_len, 1))
+    spans = [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
+    if len(spans) < 2 or _WORKERS < 2:
+        for s, e in spans:
+            fn(s, e)
+        return
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="twoslit-kernels")
+    for future in [_POOL.submit(fn, s, e) for s, e in spans]:
+        future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +136,19 @@ def propagate_sum(x_out, x_in, values, dx, pref, coef):
     values = np.ascontiguousarray(values, dtype=np.complex128)
     coef = float(coef)
     out = np.empty(x_out.size, np.complex128)
-    # chunk output rows to bound the (chunk, n_in) temporaries
-    chunk = max(1, int(4_000_000 // max(x_in.size, 1)))
-    for s in range(0, x_out.size, chunk):
-        d = x_out[s : s + chunk, None] - x_in[None, :]
-        ph = coef * d * d
-        out[s : s + chunk] = (np.exp(1j * ph) * values[None, :]).sum(axis=1)
+
+    def block(s, e):
+        d = x_out[s:e, None] - x_in[None, :]
+        ph = coef * d
+        ph *= d
+        w = np.empty(d.shape, np.complex128)
+        w.real = 0.0
+        w.imag = ph
+        np.exp(w, out=w)
+        w *= values
+        w.sum(axis=1, out=out[s:e])
+
+    _blocks(block, x_out.size, x_in.size)
     return out * (complex(pref) * float(dx))
 
 
@@ -104,7 +161,7 @@ def propagate_sum(x_out, x_in, values, dx, pref, coef):
 
 def bridge_offsets(key: int, n_paths: int, n_slices: int, sigma: float) -> np.ndarray:
     """(n_paths, n_slices+1) bridge offsets, zero at both endpoints."""
-    z = _normals(key, 0, n_paths * n_slices).reshape(n_paths, n_slices)
+    z = _normal_rows(key, n_slices)(0, n_paths)
     c = np.cumsum(z, axis=1)
     total = c[:, -1:]
     frac = np.arange(1, n_slices + 1, dtype=np.float64) / n_slices
@@ -121,15 +178,17 @@ def mc_phase_array(key, n_paths, n_slices, dx_total, t_total, mass, sigma):
     dstraight = dx_total / n_slices
     half_m_over_dt = 0.5 * mass / dt
     s_cl = 0.5 * mass * dx_total * dx_total / t_total
+    rows = _normal_rows(key, n_slices)
     out = np.empty(n_paths, np.complex128)
-    chunk = max(1, int(2_000_000 // max(n_slices, 1)))
-    for s in range(0, n_paths, chunk):
-        n = min(chunk, n_paths - s)
-        z = _normals(key, s * n_slices, n * n_slices).reshape(n, n_slices)
+
+    def block(s, e):
+        z = rows(s, e)
         zbar = z.mean(axis=1, keepdims=True)
         dxk = dstraight + sigma * (z - zbar)
         sp = half_m_over_dt * np.sum(dxk * dxk, axis=1)
-        out[s : s + n] = np.exp(1j * (sp - s_cl))
+        out[s:e] = np.exp(1j * (sp - s_cl))
+
+    _blocks(block, n_paths, n_slices)
     return out
 
 

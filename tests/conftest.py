@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
+from twoslit import kernels
 from twoslit.apparatus import Apparatus, make_detector, make_particle
 
 settings.register_profile(
@@ -42,3 +45,23 @@ def desk_detector():
 @pytest.fixture(scope="session")
 def desk_window():
     return (-1.55e5, 1.55e5)
+
+
+@pytest.fixture(params=[None, 1, kernels._WORKERS + 1], ids=["as built", "inline", "more than cores"])
+def kernel_workers(request, monkeypatch):
+    """Run the kernels with the pool as built, inline, or on a fresh pool
+    with more threads than CPUs and a short switch interval, shut down
+    afterwards."""
+    if request.param is None:
+        yield
+        return
+    monkeypatch.setattr(kernels, "_WORKERS", request.param)
+    monkeypatch.setattr(kernels, "_POOL", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+        if kernels._POOL is not None:
+            kernels._POOL.shutdown()

@@ -138,9 +138,13 @@ def test_sweep_row_matches_simulate(d, tmp_path):
 
 
 def test_sweep_rejects_bad_entry_before_computing(count_propagations, tmp_path, capsys):
-    # paper d_values 9450 and 4725 lie below slit_width = 1e4
+    # d_values 9450 and 4725 lie below the paper slit_width = 1e4
+    cfg = json.loads(PAPER.read_text())
+    cfg["sweep"]["d_values"][8:] = [9450.0, 4725.0]
+    path = tmp_path / "paper_bad_sweep.json"
+    path.write_text(json.dumps(cfg))
     out = tmp_path / "paper"
-    assert main(["sweep", "--config", str(PAPER), "--out", str(out)]) == 3
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 3
     assert "d_values[8]=9450" in capsys.readouterr().err
     assert count_propagations == []
     assert not out.exists()

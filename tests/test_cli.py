@@ -180,6 +180,23 @@ def test_paths_requires_section(tmp_path: Path, capsys):
     assert "paths" in capsys.readouterr().err
 
 
+# Every shipped config against every command it has a section for
+# (simulate needs only the always-required sections).
+SHIPPED_RUNS = [
+    (path.name, command)
+    for path in sorted(CONFIGS.glob("*.json"))
+    for command in ("simulate", "sweep", "paths")
+    if command == "simulate" or command in json.loads(path.read_text())
+]
+
+
+@pytest.mark.parametrize("name, command", SHIPPED_RUNS)
+def test_shipped_config_runs(name, command, tmp_path: Path):
+    out = tmp_path / "run"
+    assert main([command, "--config", str(CONFIGS / name), "--out", str(out)]) == 0
+    assert any(out.iterdir())
+
+
 def test_uncertainty_stdout(capsys):
     assert main(["uncertainty", "1e9", "1.0", "0.5"]) == 0
     payload = json.loads(capsys.readouterr().out)

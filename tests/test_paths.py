@@ -156,6 +156,60 @@ def test_spread_over_disc(particle):
         assert [e.z for e in q.events] == [e.z for e in p.events]
 
 
+def _mc_phase_oracle(key, n_paths, n_slices, dx_total, t_total, mass, sigma):
+    """The Monte Carlo phase loop in 2M-element chunks, with its own copy
+    of the counter-based normal stream, as it was before row blocking."""
+
+    def normals(start, count):
+        idx = np.arange(start, start + count, dtype=np.uint64)
+        k = np.uint64(key)
+
+        def finalize(z):
+            z = z ^ (z >> np.uint64(30))
+            z = z * np.uint64(0xBF58476D1CE4E5B9)
+            z = z ^ (z >> np.uint64(27))
+            z = z * np.uint64(0x94D049BB133111EB)
+            return z ^ (z >> np.uint64(31))
+
+        golden = np.uint64(0x9E3779B97F4A7C15)
+        a = finalize(k + (np.uint64(2) * idx + np.uint64(1)) * golden)
+        b = finalize(k + (np.uint64(2) * idx + np.uint64(2)) * golden)
+        u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0**-53)
+        u2 = (b >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+    dt = t_total / n_slices
+    dstraight = dx_total / n_slices
+    half_m_over_dt = 0.5 * mass / dt
+    s_cl = 0.5 * mass * dx_total * dx_total / t_total
+    out = np.empty(n_paths, np.complex128)
+    chunk = max(1, int(2_000_000 // max(n_slices, 1)))
+    for s in range(0, n_paths, chunk):
+        n = min(chunk, n_paths - s)
+        z = normals(s * n_slices, n * n_slices).reshape(n, n_slices)
+        zbar = z.mean(axis=1, keepdims=True)
+        dxk = dstraight + sigma * (z - zbar)
+        sp = half_m_over_dt * np.sum(dxk * dxk, axis=1)
+        out[s : s + n] = np.exp(1j * (sp - s_cl))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_paths, n_slices",
+    [
+        (3 * (kernels._BLOCK // 32) + 5, 32),  # three full blocks and a ragged tail
+        (70_001, 1),
+        (2, kernels._BLOCK + 3),  # one path per block
+    ],
+)
+def test_mc_phase_array_matches_chunked_loop_bit_for_bit(kernel_workers, n_paths, n_slices):
+    key = kernels.stream_key(20240811, 5)
+    args = (key, n_paths, n_slices, 3.0, 100.0, 1.3, 0.7)
+    got = kernels.mc_phase_array(*args)
+    want = _mc_phase_oracle(*args)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def _all_pairs_crossings(az, ax, alen, bz, bx, blen):
     """Oracle: every segment of every a path against every segment of
     every b path.  Returns (i, j, a_seg, b_seg, z, x) per hit, in

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from twoslit import kernels
 from twoslit.apparatus import make_particle
 from twoslit.errors import InvalidArgumentError
 from twoslit.propagator import (
@@ -146,3 +147,30 @@ def test_plane_field_validation():
     bad[2] = np.nan
     with pytest.raises(InvalidArgumentError):
         PlaneField(z_label="f", x=x, values=bad, dx=dx)
+
+
+def _propagate_sum_oracle(x_out, x_in, values, dx, pref, coef):
+    """The single-chunk direct sum the row-blocked kernel must reproduce."""
+    d = x_out[:, None] - x_in[None, :]
+    ph = coef * d * d
+    return (np.exp(1j * ph) * values[None, :]).sum(axis=1) * (complex(pref) * float(dx))
+
+
+@pytest.mark.parametrize(
+    "n_in, n_out",
+    [
+        (kernels._BLOCK + 37, 3),  # one row per block, rows longer than a block
+        (1000, 3 * (kernels._BLOCK // 1000) + 7),  # ragged last block
+        (500, 1),  # a single row
+    ],
+)
+def test_propagate_sum_matches_direct_sum_bit_for_bit(kernel_workers, n_in, n_out):
+    rng = np.random.default_rng(n_in * 7919 + n_out)
+    x_in = rng.uniform(-50.0, 0.0) + rng.uniform(0.01, 0.1) * np.arange(n_in)
+    x_out = rng.uniform(-5e3, 0.0) + rng.uniform(1.0, 20.0) * np.arange(n_out)
+    values = rng.normal(size=n_in) + 1j * rng.normal(size=n_in)
+    dx, pref, coef = 0.05, complex(rng.normal(), rng.normal()), rng.uniform(0.01, 2.0)
+    got = kernels.propagate_sum(x_out, x_in, values, dx, pref, coef)
+    want = _propagate_sum_oracle(x_out, x_in, values, dx, pref, coef)
+    assert got.dtype == want.dtype == np.complex128
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
