@@ -10,6 +10,7 @@ The CLI parses, dispatches, serializes and writes.  simulate measures
 one scenario.ChannelSet with analysis.measure_channels: 4 propagations,
 6 when slit A's cone reaches the disc, 2 with the detector off.  sweep
 validates every d_values entry, then does the same per entry.  paths
+writes the bundles and crossing counts of paths.experiment_paths and
 runs no propagation.
 
 Exit codes: 0 success; 2 unusable input (missing/invalid config file,
@@ -47,15 +48,12 @@ from .errors import (
     NumericalError,
     PhysicsValidationError,
 )
-from .paths import SpacetimeEvent
 from .uncertainty import packet_uncertainties
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PHYSICS = 3
 EXIT_NUMERICAL = 4
-
-SCREEN_PATH_TARGETS = 5
 
 
 def _fmt(x: float) -> str:
@@ -219,69 +217,30 @@ def _sweep_artifacts(cfg: RunConfig) -> dict[str, str]:
 
 
 def _bundle_rows(bundle_id: str, bundle: paths_mod.PathBundle, lines: list[str]) -> None:
-    for pid, path in enumerate(bundle.paths):
-        flag = "true" if path.truncated else "false"
-        for k, ev in enumerate(path.events):
-            lines.append(f"{bundle_id},{pid},{k},{_fmt(ev.z)},{_fmt(ev.x)},{flag}")
+    """Append a CSV row per valid event; each z and x is formatted once."""
+    events = [f"{k},{z!r}" for k, z in enumerate(bundle.z.tolist())]
+    rows = zip(bundle.x.tolist(), bundle.lengths.tolist(), bundle.truncated.tolist())
+    for pid, (xs, n, cut) in enumerate(rows):
+        head, flag = f"{bundle_id},{pid},", "true" if cut else "false"
+        lines.extend([f"{head}{ev},{x!r},{flag}" for ev, x in zip(events[:n], xs)])
 
 
 def _paths_artifacts(cfg: RunConfig, seed_override: int | None) -> dict[str, str]:
     if cfg.paths is None:
         raise ConfigError("paths", "missing required section for the paths command")
     _validated(cfg)
-    app, det, part = cfg.apparatus, cfg.detector, cfg.particle
     ps = cfg.paths
     seed = ps.seed if seed_override is None else seed_override
-    v = part.velocity
-    t1 = app.L1 / v
-    t2 = app.L2 / v
-
-    source = SpacetimeEvent(x=app.source_x, z=0.0, t=0.0)
-    at_a = SpacetimeEvent(x=app.slit_A_center, z=app.L1, t=t1)
-    at_b = SpacetimeEvent(x=app.slit_B_center, z=app.L1, t=t1)
-
-    def bundle(start: SpacetimeEvent, end: SpacetimeEvent, stream: int) -> paths_mod.PathBundle:
-        return paths_mod.sample_bundle(start, end, ps.n_paths, ps.n_slices, part, seed, stream=stream)
-
-    s_to_a = bundle(source, at_a, 0)
-    if det.enabled:
-        # B-bound paths end at interaction sites spread across the disc.
-        z_disc = app.L1 + det.depth_epsilon
-        disc_center = SpacetimeEvent(x=app.slit_B_center, z=z_disc, t=z_disc / v)
-        s_to_b = paths_mod.truncate_bundle(
-            paths_mod.spread_over_disc(bundle(source, disc_center, 1), det.radius_rho),
-            disc_center_x=app.slit_B_center,
-            disc_center_z=z_disc,
-            radius=det.radius_rho,
-        )
-    else:
-        s_to_b = bundle(source, at_b, 1)
-
-    targets = np.linspace(app.screen_min, app.screen_max, SCREEN_PATH_TARGETS)
-    hits = [SpacetimeEvent(x=float(xt), z=app.L1 + app.L2, t=t1 + t2) for xt in targets]
-    a_bundles = [bundle(at_a, hit, 2 + k) for k, hit in enumerate(hits)]
-    b_bundles = [bundle(at_b, hit, 2 + SCREEN_PATH_TARGETS + k) for k, hit in enumerate(hits)]
-
-    lines = ["bundle_id,path_id,point_index,z_bohr,x_bohr,truncated"]
-    _bundle_rows("S_to_A", s_to_a, lines)
-    _bundle_rows("S_to_B", s_to_b, lines)
-    for k, b in enumerate(a_bundles):
-        _bundle_rows(f"A_to_screen_{k}", b, lines)
-    for k, b in enumerate(b_bundles):
-        _bundle_rows(f"B_to_screen_{k}", b, lines)
-
-    # How often do B-bound paths cross the A-side paths heading for the
-    # screen.  Behind the barrier the bundles are well separated unless
-    # the slit spacing shrinks to the disc scale, so the total drops to
-    # zero exactly when the disc stops seeing A-side amplitude.
-    pairs = {
-        f"S_to_B x A_to_screen_{k}": paths_mod.crossing_count(s_to_b, b)[0]
-        for k, b in enumerate(a_bundles)
-    }
+    bundles, pairs = paths_mod.experiment_paths(
+        cfg.apparatus, cfg.detector, cfg.particle, ps.n_paths, ps.n_slices, seed
+    )
     crossings = {"seed": seed, "pairs": pairs, "total": sum(pairs.values())}
 
     artifacts: dict[str, str] = {}
     if cfg.output.emit_csv:
+        lines = ["bundle_id,path_id,point_index,z_bohr,x_bohr,truncated"]
+        for bundle_id, bundle in bundles.items():
+            _bundle_rows(bundle_id, bundle, lines)
         artifacts["paths.csv"] = "\n".join(lines) + "\n"
     if cfg.output.emit_json:
         artifacts["crossings.json"] = _json_text(crossings)

@@ -208,6 +208,9 @@ def parse_config(root: Any) -> RunConfig:
             n_slices=_integer(paths_node, "paths", "n_slices"),
             seed=_integer(paths_node, "paths", "seed"),
         )
+        for key in ("n_paths", "n_slices"):
+            if getattr(paths, key) < 1:
+                raise ConfigError(f"paths.{key}", "must be >= 1")
 
     output = OutputSettings()
     if "output" in root:

@@ -71,24 +71,37 @@ def stream_key(seed: int, stream: int) -> int:
 
 def _normal_rows(key: int, n_cols: int):
     """Closure (s, e) -> the (e-s, n_cols) standard normals of rows s..e-1,
-    entry (p, k) being draw index p*n_cols + k under key."""
-    k = np.uint64(key)
+    entry (p, k) being draw index p*n_cols + k under key.  Hash steps run
+    in place; the 53-bit values convert through an int64 view, exact
+    below 2^53 and faster than the unsigned cast."""
+    k, golden = np.uint64(key), np.uint64(_GOLDEN)
+    steps = [(np.uint64(s), np.uint64(m)) for s, m in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))]
 
-    def finalize(z: np.ndarray) -> np.ndarray:
-        z = z ^ (z >> np.uint64(30))
-        z = z * np.uint64(0xBF58476D1CE4E5B9)
-        z = z ^ (z >> np.uint64(27))
-        z = z * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+    def bits53(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        z *= golden
+        z += k
+        for shift, mult in steps:
+            z ^= np.right_shift(z, shift, out=tmp)
+            z *= mult
+        z ^= np.right_shift(z, np.uint64(31), out=tmp)
+        z >>= np.uint64(11)
+        return z.view(np.int64).astype(np.float64)
 
     def rows(s: int, e: int) -> np.ndarray:
-        idx = np.arange(s * n_cols, e * n_cols, dtype=np.uint64)
-        a = finalize(k + (np.uint64(2) * idx + np.uint64(1)) * np.uint64(_GOLDEN))
-        b = finalize(k + (np.uint64(2) * idx + np.uint64(2)) * np.uint64(_GOLDEN))
-        # (0,1] uniforms from the top 53 bits
-        u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0**-53)
-        u2 = (b >> np.uint64(11)).astype(np.float64) * (2.0**-53)
-        return (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)).reshape(e - s, n_cols)
+        # draw i hashes counters 2i+1 and 2i+2
+        a = np.arange(2 * s * n_cols + 1, 2 * e * n_cols, 2, dtype=np.uint64)
+        tmp = np.empty_like(a)
+        u2 = bits53(a + np.uint64(1), tmp)
+        u1 = bits53(a, tmp)
+        u1 += 1.0  # (0,1] uniforms from the top 53 bits
+        u1 *= 2.0**-53
+        u2 *= 2.0**-53
+        np.log(u1, out=u1)
+        u1 *= -2.0
+        np.sqrt(u1, out=u1)
+        u2 *= 2.0 * np.pi
+        u1 *= np.cos(u2, out=u2)
+        return u1.reshape(e - s, n_cols)
 
     return rows
 

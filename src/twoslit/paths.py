@@ -8,6 +8,11 @@ ends.  All randomness is counter-based: the normal draw for (path p,
 slice k) depends only on (seed, p, k), so bundles are reproducible for
 any worker count.
 
+A PathBundle is arrays: z and t per event slice, shared by every path;
+x per path and slice; per path, its count of valid events and a
+truncation flag.  bundle.paths gives per-path views (Path) that build
+event objects only when asked, which the paths command never does.
+
 The estimator mc_kernel_estimate averages exp(i(S_path - S_classical))
 over a bridge ensemble and multiplies by the analytically known mean of
 that phase under the bridge measure, so its expectation is exactly the
@@ -20,12 +25,12 @@ variance, hence the Monte Carlo error, small at practical path counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
-from .apparatus import Particle
+from .apparatus import Apparatus, DetectorConfig, Particle
 from .errors import InvalidArgumentError
 from .propagator import free_kernel
 
@@ -33,6 +38,9 @@ from .propagator import free_kernel
 # estimator.  Geometric bundles (sample_bundle) use 1.0, the free
 # spreading scale.  0.5 quarters the phase variance per slice.
 MC_BRIDGE_SCALE = 0.5
+
+# Screen points per slit for experiment_paths, from screen_min to screen_max.
+SCREEN_PATH_TARGETS = 5
 
 
 @dataclass(frozen=True)
@@ -42,22 +50,39 @@ class SpacetimeEvent:
     t: float
 
 
-@dataclass(frozen=True)
-class Path:
-    """Discrete path; events are time-ordered.  A truncated path keeps
-    events up to and including truncation_index and nothing after."""
-
-    events: tuple[SpacetimeEvent, ...]
-    truncated: bool = False
-    truncation_index: int | None = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathBundle:
+    """Path i is the events (x[i, j], z[j], t[j]) for j < lengths[i]; x
+    past a path's length is stale.  Derived bundles share arrays with
+    the bundles they came from, so no array is written after creation."""
+
     start: SpacetimeEvent
     end: SpacetimeEvent
-    paths: tuple[Path, ...]
     seed: int
+    z: np.ndarray  # (n_events,)
+    t: np.ndarray  # (n_events,)
+    x: np.ndarray  # (n_paths, n_events)
+    lengths: np.ndarray  # (n_paths,) valid events per path
+    truncated: np.ndarray  # (n_paths,) bool
+
+    @property
+    def paths(self) -> tuple[Path, ...]:
+        rows = zip(self.x, self.lengths.tolist(), self.truncated.tolist())
+        return tuple(Path(x[:n], self.z[:n], self.t[:n], cut) for x, n, cut in rows)
+
+
+@dataclass(frozen=True, eq=False)
+class Path:
+    """View of one path of a bundle: its valid events."""
+
+    x: np.ndarray
+    z: np.ndarray
+    t: np.ndarray
+    truncated: bool
+
+    @property
+    def events(self) -> tuple[SpacetimeEvent, ...]:
+        return tuple(map(SpacetimeEvent, self.x.tolist(), self.z.tolist(), self.t.tolist()))
 
 
 def sample_bundle(
@@ -92,32 +117,20 @@ def sample_bundle(
     xs_line[0], xs_line[-1] = start.x, end.x
     zs[0], zs[-1] = start.z, end.z
     ts[0], ts[-1] = start.t, end.t
-
-    paths = []
-    for p in range(n_paths):
-        xs = xs_line + offsets[p]
-        events = tuple(
-            SpacetimeEvent(x=float(xs[j]), z=float(zs[j]), t=float(ts[j]))
-            for j in range(n_slices + 1)
-        )
-        paths.append(Path(events=events))
-    return PathBundle(start=start, end=end, paths=tuple(paths), seed=seed)
+    full = np.full(n_paths, n_slices + 1, np.int64)
+    return PathBundle(start, end, seed, zs, ts, xs_line + offsets, full, np.zeros(n_paths, bool))
 
 
 def path_action(path: Path, mass: float) -> float:
     """Discrete free action sum over transverse increments:
     S = sum_k (mass/2) * (dx_k)^2 / dt_k."""
-    ev = path.events
-    if len(ev) < 2:
+    if path.x.size < 2:
         raise InvalidArgumentError("path_action needs at least 2 events")
-    s = 0.0
-    for a, b in zip(ev, ev[1:]):
-        dt = b.t - a.t
-        if not (dt > 0.0):
-            raise InvalidArgumentError("path events must be strictly increasing in t")
-        dx = b.x - a.x
-        s += 0.5 * mass * dx * dx / dt
-    return s
+    dt = np.diff(path.t)
+    if not np.all(dt > 0.0):
+        raise InvalidArgumentError("path events must be strictly increasing in t")
+    dx = np.diff(path.x)
+    return float(np.sum(0.5 * mass * dx * dx / dt))
 
 
 def mc_kernel_estimate(
@@ -161,60 +174,31 @@ def truncate_bundle(
     if not (radius > 0.0):
         raise InvalidArgumentError(f"radius must be > 0, got {radius}")
     r2 = radius * radius
-    out = []
-    for path in bundle.paths:
-        cut = None
-        for j, ev in enumerate(path.events):
-            dx = ev.x - disc_center_x
-            dz = ev.z - disc_center_z
-            if dx * dx + dz * dz <= r2:
-                cut = j
-                break
-        if cut is None:
-            out.append(path)
-        else:
-            out.append(
-                Path(events=path.events[: cut + 1], truncated=True, truncation_index=cut)
-            )
-    return PathBundle(start=bundle.start, end=bundle.end, paths=tuple(out), seed=bundle.seed)
+    dx = bundle.x - disc_center_x
+    dz = bundle.z - disc_center_z
+    inside = dx * dx + dz * dz <= r2
+    inside &= np.arange(bundle.z.size) < bundle.lengths[:, None]
+    hit = inside.any(axis=1)
+    lengths = np.where(hit, inside.argmax(axis=1) + 1, bundle.lengths)
+    return replace(bundle, lengths=lengths, truncated=bundle.truncated | hit)
 
 
 def spread_over_disc(bundle: PathBundle, radius: float) -> PathBundle:
     """Tilt path j, linearly in time, to end radius * (2(j + 0.5)/n - 1)
     from the bundle's end: n sites spread evenly across a disc.  A bridge
     plus a linear drift is still a bridge, so statistics are unchanged."""
-    n, t0 = len(bundle.paths), bundle.start.t
+    n, t0 = bundle.lengths.size, bundle.start.t
     span = bundle.end.t - t0
-    tilted = []
-    for j, path in enumerate(bundle.paths):
-        u = radius * (2.0 * (j + 0.5) / n - 1.0)
-        events = tuple(
-            SpacetimeEvent(x=ev.x + u * ((ev.t - t0) / span), z=ev.z, t=ev.t)
-            for ev in path.events
-        )
-        tilted.append(Path(events=events))
-    return PathBundle(start=bundle.start, end=bundle.end, paths=tuple(tilted), seed=bundle.seed)
-
-
-def _packed_coords(bundle: PathBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = len(bundle.paths)
-    lens = np.array([len(p.events) for p in bundle.paths], dtype=np.int64)
-    width = int(lens.max())
-    z = np.zeros((n, width), np.float64)
-    x = np.zeros((n, width), np.float64)
-    for i, p in enumerate(bundle.paths):
-        z[i, : lens[i]] = [e.z for e in p.events]
-        x[i, : lens[i]] = [e.x for e in p.events]
-    return z, x, lens
+    u = radius * (2.0 * (np.arange(n) + 0.5) / n - 1.0)
+    return replace(bundle, x=bundle.x + u[:, None] * ((bundle.t - t0) / span))
 
 
 def crossing_count(a: PathBundle, b: PathBundle) -> tuple[int, list[SpacetimeEvent]]:
     """Count segment-pair intersections between the bundles in the
     (z, x) plane.  Crossing times need not match; t is reconstructed
     from z along bundle a's parameterization."""
-    az, ax, alen = _packed_coords(a)
-    bz, bx, blen = _packed_coords(b)
-    pts = kernels.segment_crossings(az, ax, alen, bz, bx, blen)
+    az, bz = np.broadcast_to(a.z, a.x.shape), np.broadcast_to(b.z, b.x.shape)
+    pts = kernels.segment_crossings(az, a.x, a.lengths, bz, b.x, b.lengths)
     # t from z assuming both bundles share dz/dt; bundle a's rate is used
     za, zb = a.start.z, a.end.z
     ta, tb = a.start.t, a.end.t
@@ -224,3 +208,44 @@ def crossing_count(a: PathBundle, b: PathBundle) -> tuple[int, list[SpacetimeEve
         for zc, xc in pts
     ]
     return len(events), events
+
+
+def experiment_paths(
+    app: Apparatus, det: DetectorConfig, particle: Particle, n_paths: int, n_slices: int, seed: int
+) -> tuple[dict[str, PathBundle], dict[str, int]]:
+    """The paths command's bundles by id, in output order, and the
+    crossing count of S_to_B with each A_to_screen_k."""
+    v = particle.velocity
+    t1, t2 = app.L1 / v, app.L2 / v
+    source = SpacetimeEvent(x=app.source_x, z=0.0, t=0.0)
+    at_a = SpacetimeEvent(x=app.slit_A_center, z=app.L1, t=t1)
+    at_b = SpacetimeEvent(x=app.slit_B_center, z=app.L1, t=t1)
+
+    def bundle(start: SpacetimeEvent, end: SpacetimeEvent, stream: int) -> PathBundle:
+        return sample_bundle(start, end, n_paths, n_slices, particle, seed, stream=stream)
+
+    bundles = {"S_to_A": bundle(source, at_a, 0)}
+    if det.enabled:
+        # B-bound paths end at interaction sites spread across the disc.
+        z_disc = app.L1 + det.depth_epsilon
+        disc_center = SpacetimeEvent(x=app.slit_B_center, z=z_disc, t=z_disc / v)
+        spread = spread_over_disc(bundle(source, disc_center, 1), det.radius_rho)
+        bundles["S_to_B"] = truncate_bundle(spread, app.slit_B_center, z_disc, det.radius_rho)
+    else:
+        bundles["S_to_B"] = bundle(source, at_b, 1)
+
+    targets = np.linspace(app.screen_min, app.screen_max, SCREEN_PATH_TARGETS)
+    hits = [SpacetimeEvent(x=float(xt), z=app.L1 + app.L2, t=t1 + t2) for xt in targets]
+    for side, slit, first_stream in (("A", at_a, 2), ("B", at_b, 2 + SCREEN_PATH_TARGETS)):
+        for k, hit in enumerate(hits):
+            bundles[f"{side}_to_screen_{k}"] = bundle(slit, hit, first_stream + k)
+
+    # How often do B-bound paths cross the A-side paths heading for the
+    # screen.  Behind the barrier the bundles are well separated unless
+    # the slit spacing shrinks to the disc scale, so the total drops to
+    # zero exactly when the disc stops seeing A-side amplitude.
+    pairs = {
+        f"S_to_B x A_to_screen_{k}": crossing_count(bundles["S_to_B"], bundles[f"A_to_screen_{k}"])[0]
+        for k in range(SCREEN_PATH_TARGETS)
+    }
+    return bundles, pairs

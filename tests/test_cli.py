@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -161,6 +162,34 @@ def test_paths_desk_crossing_totals_per_separation(tmp_path: Path):
         assert main(["paths", "--config", str(cfg), "--out", str(out), "--seed", "20240811"]) == 0
         totals[d] = json.loads((out / "crossings.json").read_text())["total"]
     assert totals == DESK_CROSSING_TOTALS
+
+
+# sha256 of (paths.csv, crossings.json), recorded before bundles became
+# arrays; any change to a sampled coordinate, its formatting or a count
+# changes them.
+PATHS_DIGESTS = {
+    "golden": (
+        "0648ddb150104b23208958cabcb18acd3a47c018ff290ee1ceb8bb553b0bd32b",
+        "7e1ba323e4da04b1e064d8d81dac77bad837eb49d607e88f104be1a8a7a91f4b",
+    ),
+    "desk d=10": (
+        "b745a0baddb84488298bd6daf48ef31fe660e11d9a72a8db3866b8da61238956",
+        "845efc920999c06bf528a65dfccb58ebf52c08f8d958fb1c4501c3fb129814ab",
+    ),
+}
+
+
+def test_paths_artifact_bytes_are_pinned(tmp_path: Path):
+    desk = json.loads((CONFIGS / "desk.json").read_text())
+    desk["apparatus"]["slit_A_center"], desk["apparatus"]["slit_B_center"] = -5.0, 5.0
+    desk_d10 = tmp_path / "desk_d10.json"
+    desk_d10.write_text(json.dumps(desk), encoding="utf-8")
+    runs = {"golden": ["--config", OK], "desk d=10": ["--config", str(desk_d10), "--seed", "20240811"]}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(["paths", *argv, "--out", str(out)]) == 0
+        got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("paths.csv", "crossings.json"))
+        assert got == PATHS_DIGESTS[name], name
 
 
 def test_paths_seed_override_and_determinism(tmp_path: Path):

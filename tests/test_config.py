@@ -74,6 +74,8 @@ def test_parse_full_sections():
         (lambda r: r.update(sweep={"dvalues": [1.0]}), "sweep.dvalues"),
         (lambda r: r.update(output={"directory": 3}), "output.directory"),
         (lambda r: r.update(paths={"n_paths": 4, "n_slices": 2}), "paths.seed"),
+        (lambda r: r.update(paths={"n_paths": 0, "n_slices": 2, "seed": 1}), "paths.n_paths"),
+        (lambda r: r.update(paths={"n_paths": 4, "n_slices": -3, "seed": 1}), "paths.n_slices"),
     ],
 )
 def test_parse_rejects_with_dotted_path(mutate, path):

@@ -9,7 +9,6 @@ from twoslit import kernels
 from twoslit.apparatus import make_particle
 from twoslit.errors import InvalidArgumentError
 from twoslit.paths import (
-    Path,
     PathBundle,
     SpacetimeEvent,
     crossing_count,
@@ -42,14 +41,38 @@ def test_bundle_shape_and_endpoints(particle):
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
 
+def _arrays_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _same_bundle(a, b):
+    """Every field equal; floats compared bit for bit."""
+    floats = all(
+        _arrays_equal(getattr(a, f).view(np.uint64), getattr(b, f).view(np.uint64)) for f in "xzt"
+    )
+    flags = _arrays_equal(a.lengths, b.lengths) and _arrays_equal(a.truncated, b.truncated)
+    return (a.start, a.end, a.seed) == (b.start, b.end, b.seed) and floats and flags
+
+
+def _bundle(x, z, t, lengths=None, truncated=None):
+    """A bundle from explicit arrays; every path full length unless given."""
+    x, z, t = (np.atleast_1d(np.asarray(v, np.float64)) for v in (x, z, t))
+    x = x.reshape(-1, z.size)
+    n = x.shape[0]
+    lengths = np.full(n, z.size, np.int64) if lengths is None else np.asarray(lengths, np.int64)
+    truncated = np.zeros(n, bool) if truncated is None else np.asarray(truncated, bool)
+    ends = [SpacetimeEvent(x=float(x[0, j]), z=float(z[j]), t=float(t[j])) for j in (0, -1)]
+    return PathBundle(ends[0], ends[1], 0, z, t, x, lengths, truncated)
+
+
 def test_bundle_deterministic(particle):
     b1 = sample_bundle(START, END, 4, 8, particle, seed=42)
     b2 = sample_bundle(START, END, 4, 8, particle, seed=42)
-    assert b1 == b2
+    assert _same_bundle(b1, b2)
     b3 = sample_bundle(START, END, 4, 8, particle, seed=43)
-    assert b1 != b3
+    assert not _same_bundle(b1, b3)
     b4 = sample_bundle(START, END, 4, 8, particle, seed=42, stream=1)
-    assert b1 != b4
+    assert not _same_bundle(b1, b4)
 
 
 def test_bundle_domain(particle):
@@ -61,8 +84,9 @@ def test_bundle_domain(particle):
 
 def test_path_action_straight_line():
     # constant velocity 1 for one time unit at mass 1: S = 1/2
-    events = tuple(SpacetimeEvent(x=0.5 * k, z=0.0, t=0.5 * k) for k in range(3))
-    assert path_action(Path(events=events), mass=1.0) == pytest.approx(0.5, rel=1e-15)
+    ks = np.arange(3)
+    path = _bundle(0.5 * ks, np.zeros(3), 0.5 * ks).paths[0]
+    assert path_action(path, mass=1.0) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_path_action_beats_classical(particle):
@@ -93,30 +117,30 @@ def test_mc_converges(particle):
 
 
 def test_truncate_bundle():
-    events = tuple(SpacetimeEvent(x=float(k), z=float(k), t=float(k)) for k in range(6))
-    bundle = PathBundle(
-        start=events[0], end=events[-1], paths=(Path(events=events),), seed=0
-    )
+    ks = np.arange(6.0)
+    bundle = _bundle(ks, ks, ks)
     cut = truncate_bundle(bundle, disc_center_x=3.0, disc_center_z=3.0, radius=0.5)
     p = cut.paths[0]
     assert p.truncated
-    assert p.truncation_index == 3
+    assert cut.lengths.tolist() == [4]  # cut at event 3, kept
     assert len(p.events) == 4
     assert p.events[-1].x == 3.0
 
     missed = truncate_bundle(bundle, disc_center_x=30.0, disc_center_z=3.0, radius=0.5)
-    assert missed.paths[0] == bundle.paths[0]
+    assert _same_bundle(missed, bundle)
+
+    # a cut at the last event keeps every event and still counts
+    at_end = truncate_bundle(bundle, disc_center_x=5.0, disc_center_z=5.0, radius=0.5)
+    assert at_end.truncated.tolist() == [True] and at_end.lengths.tolist() == [6]
 
     with pytest.raises(InvalidArgumentError):
         truncate_bundle(bundle, 0.0, 0.0, 0.0)
 
 
 def _line_bundle(x0: float, x1: float, n_pts: int = 5) -> PathBundle:
-    evs = tuple(
-        SpacetimeEvent(x=x0 + (x1 - x0) * k / (n_pts - 1), z=float(k), t=float(k))
-        for k in range(n_pts)
-    )
-    return PathBundle(start=evs[0], end=evs[-1], paths=(Path(events=evs),), seed=0)
+    ks = np.arange(n_pts)
+    xs = [x0 + (x1 - x0) * k / (n_pts - 1) for k in range(n_pts)]
+    return _bundle(xs, ks, ks)
 
 
 def test_crossing_count_basics():
@@ -156,27 +180,31 @@ def test_spread_over_disc(particle):
         assert [e.z for e in q.events] == [e.z for e in p.events]
 
 
+def _old_normals(key, start, count):
+    """Reference normal draws start..start+count-1 of the counter-based
+    stream, one plain temporary per step; kernels._normal_rows, which
+    works in place, must match it bit for bit."""
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    k = np.uint64(key)
+
+    def finalize(z):
+        z = z ^ (z >> np.uint64(30))
+        z = z * np.uint64(0xBF58476D1CE4E5B9)
+        z = z ^ (z >> np.uint64(27))
+        z = z * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    a = finalize(k + (np.uint64(2) * idx + np.uint64(1)) * golden)
+    b = finalize(k + (np.uint64(2) * idx + np.uint64(2)) * golden)
+    u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0**-53)
+    u2 = (b >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
 def _mc_phase_oracle(key, n_paths, n_slices, dx_total, t_total, mass, sigma):
-    """The Monte Carlo phase loop in 2M-element chunks, with its own copy
-    of the counter-based normal stream, as it was before row blocking."""
-
-    def normals(start, count):
-        idx = np.arange(start, start + count, dtype=np.uint64)
-        k = np.uint64(key)
-
-        def finalize(z):
-            z = z ^ (z >> np.uint64(30))
-            z = z * np.uint64(0xBF58476D1CE4E5B9)
-            z = z ^ (z >> np.uint64(27))
-            z = z * np.uint64(0x94D049BB133111EB)
-            return z ^ (z >> np.uint64(31))
-
-        golden = np.uint64(0x9E3779B97F4A7C15)
-        a = finalize(k + (np.uint64(2) * idx + np.uint64(1)) * golden)
-        b = finalize(k + (np.uint64(2) * idx + np.uint64(2)) * golden)
-        u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0**-53)
-        u2 = (b >> np.uint64(11)).astype(np.float64) * (2.0**-53)
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    """The Monte Carlo phase loop in 2M-element chunks, on the stream as
+    written in _old_normals, as it was before row blocking."""
 
     dt = t_total / n_slices
     dstraight = dx_total / n_slices
@@ -186,7 +214,7 @@ def _mc_phase_oracle(key, n_paths, n_slices, dx_total, t_total, mass, sigma):
     chunk = max(1, int(2_000_000 // max(n_slices, 1)))
     for s in range(0, n_paths, chunk):
         n = min(chunk, n_paths - s)
-        z = normals(s * n_slices, n * n_slices).reshape(n, n_slices)
+        z = _old_normals(key, s * n_slices, n * n_slices).reshape(n, n_slices)
         zbar = z.mean(axis=1, keepdims=True)
         dxk = dstraight + sigma * (z - zbar)
         sp = half_m_over_dt * np.sum(dxk * dxk, axis=1)
@@ -207,6 +235,25 @@ def test_mc_phase_array_matches_chunked_loop_bit_for_bit(kernel_workers, n_paths
     args = (key, n_paths, n_slices, 3.0, 100.0, 1.3, 0.7)
     got = kernels.mc_phase_array(*args)
     want = _mc_phase_oracle(*args)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _bridge_oracle(key, n_paths, n_slices, sigma):
+    """bridge_offsets on the stream as written in _old_normals."""
+    z = _old_normals(key, 0, n_paths * n_slices).reshape(n_paths, n_slices)
+    c = np.cumsum(z, axis=1)
+    frac = np.arange(1, n_slices + 1, dtype=np.float64) / n_slices
+    b = np.zeros((n_paths, n_slices + 1), np.float64)
+    b[:, 1:] = sigma * (c - frac[None, :] * c[:, -1:])
+    b[:, -1] = 0.0
+    return b
+
+
+@pytest.mark.parametrize("n_paths, n_slices", [(64, 32), (3, 1), (1, 1000), (2049, 3)])
+def test_bridge_offsets_match_old_stream_bit_for_bit(n_paths, n_slices):
+    key = kernels.stream_key(20240811, 3)
+    got = kernels.bridge_offsets(key, n_paths, n_slices, 0.7)
+    want = _bridge_oracle(key, n_paths, n_slices, 0.7)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -306,3 +353,93 @@ def test_segment_crossings_skip_only_z_disjoint_pairs(bundles):
     kept = _bits(h[4:] for h in hits if share_z(*h[:4]))
     assert _is_subsequence(kept, got)
     assert _is_subsequence(got, _bits(h[4:] for h in hits))
+
+
+def _event_lists(bundle):
+    """Per path, its valid (x, z, t) events as Python floats."""
+    z, t = bundle.z.tolist(), bundle.t.tolist()
+    return [list(zip(xs[:n], z[:n], t[:n])) for xs, n in zip(bundle.x.tolist(), bundle.lengths.tolist())]
+
+
+def _truncate_oracle(paths, cx, cz, radius):
+    """The per-event loop truncate_bundle replaced, on (events, truncated)
+    per path: a path is cut at its first event inside the disc."""
+    r2 = radius * radius
+    out = []
+    for events, truncated in paths:
+        cut = None
+        for j, (x, z, _t) in enumerate(events):
+            dx = x - cx
+            dz = z - cz
+            if dx * dx + dz * dz <= r2:
+                cut = j
+                break
+        out.append((events, truncated) if cut is None else (events[: cut + 1], True))
+    return out
+
+
+def _spread_oracle(paths, t0, t_end, radius):
+    """The per-event loop spread_over_disc replaced."""
+    n, span = len(paths), t_end - t0
+    out = []
+    for j, events in enumerate(paths):
+        u = radius * (2.0 * (j + 0.5) / n - 1.0)
+        out.append([(x + u * ((t - t0) / span), z, t) for x, z, t in events])
+    return out
+
+
+def _assert_paths_match(bundle, want):
+    """bundle's x bits, lengths and flags equal the oracle's (events, flag)."""
+    assert bundle.lengths.tolist() == [len(events) for events, _ in want]
+    assert bundle.truncated.tolist() == [flag for _, flag in want]
+    got_x = [[x.hex() for x, _z, _t in events] for events in _event_lists(bundle)]
+    assert got_x == [[x.hex() for x, _z, _t in events] for events, _ in want]
+
+
+@st.composite
+def _disc_case(draw):
+    """A ragged bundle and a disc whose centre is the first or the last
+    valid event of one path, or lies far from every event, or anywhere."""
+    n_paths, n_events = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    z = _coords(draw, _FLOAT, n_events)
+    x = _coords(draw, _FLOAT, n_paths * n_events).reshape(n_paths, n_events)
+    lengths = draw(st.lists(st.integers(1, n_events), min_size=n_paths, max_size=n_paths))
+    truncated = draw(st.lists(st.booleans(), min_size=n_paths, max_size=n_paths))
+    bundle = _bundle(x, z, np.arange(n_events), lengths, truncated)
+    where = draw(st.sampled_from(["first", "last", "never", "anywhere"]))
+    p = draw(st.integers(0, n_paths - 1))
+    radius = draw(st.floats(1e-6, 4.0))
+    if where in ("first", "last"):
+        # a small disc, so that earlier events of the path mostly miss it
+        j = 0 if where == "first" else lengths[p] - 1
+        centre, radius = (x[p, j], z[j]), radius * 1e-3
+    elif where == "never":
+        # every x is within 8 of 0, so the disc is at least 91 away
+        centre, radius = (100.0, draw(_FLOAT)), min(radius, 1.0)
+    else:
+        centre = (draw(_FLOAT), draw(_FLOAT))
+    return bundle, centre, radius
+
+
+@given(_disc_case())
+def test_truncate_bundle_matches_per_event_loop(case):
+    bundle, (cx, cz), radius = case
+    want = _truncate_oracle(list(zip(_event_lists(bundle), bundle.truncated.tolist())), cx, cz, radius)
+    cut = truncate_bundle(bundle, cx, cz, radius)
+    _assert_paths_match(cut, want)
+    assert cut.z is bundle.z and cut.t is bundle.t
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.integers(0, 2**32),
+    _FLOAT,
+    st.floats(1.0, 100.0),
+    st.floats(1e-3, 50.0),
+)
+def test_spread_over_disc_matches_per_event_loop(particle, n_paths, n_slices, seed, end_x, end_t, radius):
+    end = SpacetimeEvent(x=end_x, z=10.0, t=end_t)
+    bundle = sample_bundle(START, end, n_paths, n_slices, particle, seed)
+    want = _spread_oracle(_event_lists(bundle), START.t, end.t, radius)
+    _assert_paths_match(spread_over_disc(bundle, radius), [(events, False) for events in want])
