@@ -5,7 +5,23 @@ segment-crossing counter dominate runtime.  Random streams are
 counter-based (splitmix-style hash of seed and index), so path samples
 depend only on (seed, path_id, slice_id).
 
-Propagation and the Monte Carlo phase sum work in row blocks of about
+Propagation takes one of two paths, chosen by input size.  An input of
+more than _DIRECT_MAX_IN points (the detection-disc grid of a fine
+geometry, ~1000 points on desk) goes through Bluestein's chirp-z
+transform (Rabiner, Schafer & Rader 1969; Bluestein 1970): on uniform
+grids the quadrature is one FFT convolution of length >= n_in + n_out - 1,
+equal to the direct sum up to rounding (3e-11 of the peak on desk's
+993 -> 4096 propagations).  pocketfft is single-threaded and runs the
+same operations on every call, so these bytes too depend on neither the
+worker count nor the run.  Smaller
+inputs (aperture grids and the 128-point disc floor) keep the direct
+sum: the visibility extrema search treats two exactly equal screen
+samples as no maximum, and at desk d = rho/2 the kick-reference
+pattern's verdict hangs on such a tie, which only the direct sum's
+rounding reproduces.  The direct path goes once that search is
+plateau-aware.
+
+The direct sum and the Monte Carlo phase sum work in row blocks of about
 2^16 elements (~1 MiB of complex temporaries): a block of output rows of
 the propagation, a block of paths of the phase sum.  Each output element
 is a reduction over one row, of fixed length and order, whatever block
@@ -17,7 +33,9 @@ else ``os.cpu_count()``), created on the first call with several
 blocks; with one CPU or one block they run inline.  Module-level
 functions here may be wrapped by the single-threaded tracer in
 ``perfbench/tracing.py``, so worker threads run only nested closures and
-numpy.
+numpy.  ``numpy.fft`` is reached as ``np.fft`` at call time: ``import
+numpy`` does not load it, and a run that never needs it never pays for
+its import.
 
 Segment crossings are pruned by z-slab (a special case of interval
 pruning in sweep-line intersection; Shamos & Hoey 1976, Bentley &
@@ -142,12 +160,19 @@ def _blocks(fn, n_rows: int, row_len: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Inputs of at most this many points take the direct sum, longer ones the
+# chirp-z convolution (see the module docstring for why both remain).
+_DIRECT_MAX_IN = 256
+
+
 def propagate_sum(x_out, x_in, values, dx, pref, coef):
-    """Fixed-order kernel quadrature; deterministic under any threading."""
+    """Kernel quadrature on uniform grids; deterministic under any threading."""
     x_out = np.ascontiguousarray(x_out, dtype=np.float64)
     x_in = np.ascontiguousarray(x_in, dtype=np.float64)
     values = np.ascontiguousarray(values, dtype=np.complex128)
     coef = float(coef)
+    if x_in.size > _DIRECT_MAX_IN:
+        return _chirp_z_sum(x_out, x_in, values, dx, pref, coef)
     out = np.empty(x_out.size, np.complex128)
 
     def block(s, e):
@@ -163,6 +188,37 @@ def propagate_sum(x_out, x_in, values, dx, pref, coef):
 
     _blocks(block, x_out.size, x_in.size)
     return out * (complex(pref) * float(dx))
+
+
+def _chirp_z_sum(x_out, x_in, values, dx, pref, coef):
+    """The same sum by Bluestein's chirp-z transform, for uniform grids.
+
+    With xo = mo + p*ho, xi = mi + q*hi (p, q centred indices) and
+    p*q = (p^2 + q^2 - (p-q)^2)/2, coef*(xo - xi)^2 splits into a chirp
+    on the output, a chirp on the input and g*(p-q)^2, g = coef*ho*hi;
+    the last is one FFT convolution of length >= n_in + n_out - 1.
+    """
+    n_in, n_out = x_in.size, x_out.size
+    mi = 0.5 * (x_in[0] + x_in[-1])
+    mo = 0.5 * (x_out[0] + x_out[-1])
+    hi = (x_in[-1] - x_in[0]) / (n_in - 1)
+    ho = (x_out[-1] - x_out[0]) / (n_out - 1) if n_out > 1 else 0.0
+    g = coef * ho * hi
+    q = np.arange(n_in) - 0.5 * (n_in - 1)
+    p = np.arange(n_out) - 0.5 * (n_out - 1)
+    b = x_in - mi
+    u = values * np.exp(1j * (coef * b * (b - 2.0 * (mo - mi)) - g * q * q))
+    # p - q = m + (n_in - n_out)/2 for m = j - i in -(n_in - 1) .. n_out - 1,
+    # m wrapped to n >= n_in + n_out - 1 points
+    n = 1 << (n_in + n_out - 2).bit_length()
+    m = np.arange(1 - n_in, n_out)
+    k = m + 0.5 * (n_in - n_out)
+    h = np.zeros(n, np.complex128)
+    h[m % n] = np.exp(1j * (g * k * k))
+    y = np.fft.ifft(np.fft.fft(u, n) * np.fft.fft(h))[:n_out]
+    a = x_out - mi
+    y *= np.exp(1j * (coef * a * a - g * p * p))
+    return y * (complex(pref) * float(dx))
 
 
 # ---------------------------------------------------------------------------

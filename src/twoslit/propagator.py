@@ -5,8 +5,12 @@ The kernel between transverse points over a flight time T (hbar = 1):
     K(x_b, x_a; T) = sqrt(m / (2 pi i T)) * exp(i m (x_b - x_a)^2 / (2 T))
 
 propagate() realizes the superposition integral by midpoint quadrature
-on the input grid.  Summation order per output point is fixed, so the
-result is bit-identical for any thread count (see kernels).
+on the input grid.  Inputs of up to 256 points are summed directly, in a
+fixed order per output point; longer ones (fine detection-disc grids) by
+a chirp-z FFT convolution that equals that sum up to rounding.  Either
+way the result is bit-identical for any thread count and on every run
+(see kernels).  The chirp-z path needs uniform grids, so PlaneField
+rejects an x whose spacing is not dx.
 """
 
 from __future__ import annotations
@@ -53,9 +57,16 @@ class GridSpec:
         return mid + offsets * dx, dx
 
 
+# Largest departure of a field grid step from its dx, relative to dx.
+# Rounding in GridSpec leaves ~1e-12; the chirp-z propagation assumes
+# exactly uniform grids.
+_GRID_RTOL = 1e-9
+
+
 @dataclass(frozen=True)
 class PlaneField:
-    """Complex amplitude sampled on a uniform transverse grid at one plane."""
+    """Complex amplitude sampled on a uniform transverse grid at one plane:
+    consecutive points of x lie dx apart, to _GRID_RTOL of dx."""
 
     z_label: str
     x: np.ndarray
@@ -67,6 +78,11 @@ class PlaneField:
             raise InvalidArgumentError("field needs matching, non-empty grid and values")
         if not np.all(np.isfinite(self.values)):
             raise InvalidArgumentError("field values must be finite")
+        off = np.abs(np.diff(self.x) - self.dx)
+        if not np.all(off <= _GRID_RTOL * abs(self.dx)):
+            raise InvalidArgumentError(
+                f"field grid must be uniform with spacing dx={self.dx!r}; a step is off by {float(np.max(off))!r}"
+            )
 
     @property
     def grid_min(self) -> float:

@@ -29,7 +29,10 @@ per geometry, 6 when A's cone reaches the disc.
 The disc restriction multiplies by a flat-top window with C-infinity
 edges (support exactly [x_B - rho, x_B + rho]); a hard edge would add
 knife-edge ripples that are artifacts of the restriction, not of the
-model.  All propagation is the midpoint-quadrature kernel sum, so every
+model.  All propagation is the midpoint-quadrature kernel sum: a direct
+sum from the slit apertures (psi_A, psi_B, the stub and the trapped
+field) and from disc grids of at most 256 points, a chirp-z convolution
+from finer disc grids (the stub and detected images on desk).  Every
 channel is deterministic to the bit for any thread count.
 """
 

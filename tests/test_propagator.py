@@ -1,13 +1,15 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from twoslit import kernels
 from twoslit.apparatus import make_particle
+from twoslit.config import load_config
 from twoslit.errors import InvalidArgumentError
 from twoslit.propagator import (
     GridSpec,
@@ -18,6 +20,9 @@ from twoslit.propagator import (
     propagate,
     transmitted_power,
 )
+from twoslit.scenario import ChannelSet, barrier_field
+
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -149,8 +154,23 @@ def test_plane_field_validation():
         PlaneField(z_label="f", x=x, values=bad, dx=dx)
 
 
+def test_plane_field_rejects_non_uniform_grid():
+    x, dx = GridSpec(-2e5, 2e5, 4096).points_and_spacing()
+    values = np.ones(x.size, dtype=complex)
+    PlaneField(z_label="f", x=x, values=values, dx=dx)  # GridSpec rounding is far inside the bound
+    jittered = x.copy()
+    jittered[100] += 1e-6 * dx
+    with pytest.raises(InvalidArgumentError, match="uniform"):
+        PlaneField(z_label="f", x=jittered, values=values, dx=dx)
+    with pytest.raises(InvalidArgumentError, match="uniform"):
+        PlaneField(z_label="f", x=x, values=values, dx=dx * (1.0 + 1e-6))
+    # a single point has no spacing to check
+    PlaneField(z_label="f", x=x[:1], values=values[:1], dx=dx)
+
+
 def _propagate_sum_oracle(x_out, x_in, values, dx, pref, coef):
-    """The single-chunk direct sum the row-blocked kernel must reproduce."""
+    """The single-chunk direct sum: the row-blocked direct path must reproduce
+    it bit for bit, the chirp-z path within rounding."""
     d = x_out[:, None] - x_in[None, :]
     ph = coef * d * d
     return (np.exp(1j * ph) * values[None, :]).sum(axis=1) * (complex(pref) * float(dx))
@@ -162,9 +182,15 @@ def _propagate_sum_oracle(x_out, x_in, values, dx, pref, coef):
         (kernels._BLOCK + 37, 3),  # one row per block, rows longer than a block
         (1000, 3 * (kernels._BLOCK // 1000) + 7),  # ragged last block
         (500, 1),  # a single row
+        (kernels._DIRECT_MAX_IN, 3 * (kernels._BLOCK // kernels._DIRECT_MAX_IN) + 7),  # ragged, as routed
+        (kernels._DIRECT_MAX_IN, 1),  # a single row, as routed
     ],
 )
-def test_propagate_sum_matches_direct_sum_bit_for_bit(kernel_workers, n_in, n_out):
+def test_propagate_sum_matches_direct_sum_bit_for_bit(kernel_workers, monkeypatch, n_in, n_out):
+    # The direct path, bit for bit.  Inputs above the routing bound would
+    # take the chirp-z path, so the bound is raised for them: only then
+    # can a row be longer than a block.
+    monkeypatch.setattr(kernels, "_DIRECT_MAX_IN", max(n_in, kernels._DIRECT_MAX_IN))
     rng = np.random.default_rng(n_in * 7919 + n_out)
     x_in = rng.uniform(-50.0, 0.0) + rng.uniform(0.01, 0.1) * np.arange(n_in)
     x_out = rng.uniform(-5e3, 0.0) + rng.uniform(1.0, 20.0) * np.arange(n_out)
@@ -174,3 +200,53 @@ def test_propagate_sum_matches_direct_sum_bit_for_bit(kernel_workers, n_in, n_ou
     want = _propagate_sum_oracle(x_out, x_in, values, dx, pref, coef)
     assert got.dtype == want.dtype == np.complex128
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@given(
+    n_in=st.integers(kernels._DIRECT_MAX_IN + 1, 1500),
+    n_out=st.integers(1, 1500),
+    c_in=st.floats(-1e3, 1e3),
+    c_out=st.floats(-1e4, 1e4),
+    w_in=st.floats(1.0, 100.0),
+    w_out=st.floats(1.0, 1e4),
+    max_phase=st.floats(0.0, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_in=kernels._DIRECT_MAX_IN + 1, n_out=4096, c_in=250.0, c_out=0.0, w_in=20.0, w_out=2e5,
+         max_phase=1e3, seed=0)
+@example(n_in=kernels._DIRECT_MAX_IN + 1, n_out=1, c_in=-3.0, c_out=7.0, w_in=5.0, w_out=1.0,
+         max_phase=500.0, seed=1)
+@example(n_in=1500, n_out=2, c_in=0.0, c_out=-40.0, w_in=100.0, w_out=10.0, max_phase=1e3, seed=2)
+def test_chirp_z_sum_matches_direct_sum(n_in, n_out, c_in, c_out, w_in, w_out, max_phase, seed):
+    # Uniform grids as the program builds them; coef scaled so that no
+    # phase exceeds max_phase, where the direct sum is itself accurate.
+    x_in, dx = GridSpec(c_in - w_in, c_in + w_in, n_in, cell_centered=True).points_and_spacing()
+    if n_out == 1:
+        x_out = np.array([c_out])
+    else:
+        x_out, _ = GridSpec(c_out - w_out, c_out + w_out, n_out).points_and_spacing()
+    reach = max(abs(x_out[0] - x_in[-1]), abs(x_out[-1] - x_in[0]))
+    coef = max_phase / reach**2
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n_in) + 1j * rng.normal(size=n_in)
+    pref = complex(rng.normal(), rng.normal())
+    got = kernels.propagate_sum(x_out, x_in, values, dx, pref, coef)
+    want = _propagate_sum_oracle(x_out, x_in, values, dx, pref, coef)
+    assert got.shape == want.shape == (n_out,)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_desk_aperture_fields_stay_on_the_direct_sum():
+    # psi_A and psi_B feed the d = 10 kick-reference verdict, which hangs
+    # on an exact tie of two screen samples; they must stay bit-equal to
+    # the direct sum.
+    cfg = load_config(DESK)
+    cs = ChannelSet(cfg.apparatus.with_slit_separation(10.0), cfg.detector, cfg.particle)
+    t = cfg.apparatus.L2 / cfg.particle.velocity
+    coef = cfg.particle.mass / (2.0 * t)
+    pref = cmath.sqrt(cfg.particle.mass / (2.0j * math.pi * t))
+    for slit, psi in (("A", cs.psi_a), ("B", cs.psi_b)):
+        f = barrier_field(cs.apparatus, cfg.particle, slit)
+        assert f.x.size <= kernels._DIRECT_MAX_IN
+        want = _propagate_sum_oracle(psi.x, f.x, f.values, f.dx, pref, coef)
+        assert np.array_equal(psi.values.view(np.uint64), want.view(np.uint64)), slit
