@@ -159,18 +159,24 @@ def _pruned_extrema(values: np.ndarray) -> tuple[list[float], list[float]]:
     return maxima, minima
 
 
-def visibility(profile: IntensityProfile, window: tuple[float, float]) -> float:
-    """Extremum-ensemble fringe contrast inside [window_lo, window_hi]."""
+def window_mask(x: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """The samples of x inside [window_lo, window_hi]; raises when they
+    are fewer than MIN_WINDOW_SAMPLES."""
     lo, hi = window
     if not (lo < hi):
         raise InvalidArgumentError(f"empty visibility window [{lo}, {hi}]")
-    sel = (profile.x >= lo) & (profile.x <= hi)
+    sel = (x >= lo) & (x <= hi)
     n_sel = int(np.count_nonzero(sel))
     if n_sel < MIN_WINDOW_SAMPLES:
         raise InvalidArgumentError(
             f"visibility window holds {n_sel} samples; need at least {MIN_WINDOW_SAMPLES}"
         )
-    maxima, minima = _pruned_extrema(profile.values[sel])
+    return sel
+
+
+def visibility(profile: IntensityProfile, window: tuple[float, float]) -> float:
+    """Extremum-ensemble fringe contrast inside [window_lo, window_hi]."""
+    maxima, minima = _pruned_extrema(profile.values[window_mask(profile.x, window)])
     if not maxima or not minima:
         return 0.0
     hi_mean = float(np.mean(maxima))

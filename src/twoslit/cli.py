@@ -9,9 +9,10 @@ depended on it).
 The CLI parses, dispatches, serializes and writes.  simulate measures
 one scenario.ChannelSet with analysis.measure_channels: 4 propagations,
 6 when slit A's cone reaches the disc, 2 with the detector off.  sweep
-validates every d_values entry, then does the same per entry.  paths
-writes the bundles and crossing counts of paths.experiment_paths and
-runs no propagation.
+validates every d_values entry, then does the same per entry; both
+first check that analysis.central_window holds enough screen samples.
+paths writes the bundles and crossing counts of paths.experiment_paths
+and runs no propagation.
 
 Exit codes: 0 success; 2 unusable input (missing/invalid config file,
 schema violation, bad uncertainty arguments); 3 physically invalid
@@ -130,11 +131,22 @@ def _validated(cfg: RunConfig) -> ValidationReport:
     return report
 
 
+def _check_window(cfg: RunConfig) -> None:
+    """Refuse a central window with too few screen samples before any
+    propagation."""
+    x, _ = scenario.screen_grid(cfg.apparatus).points_and_spacing()
+    try:
+        analysis.window_mask(x, cfg.analysis.central_window)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"analysis.central_window: {exc}") from None
+
+
 def _simulate_artifacts(cfg: RunConfig) -> dict[str, str]:
     """Compute every simulate artifact as text; raises before writing
     anything on any failure."""
     app, det, part, ana = cfg.apparatus, cfg.detector, cfg.particle, cfg.analysis
     report = _validated(cfg)
+    _check_window(cfg)
 
     channels = scenario.ChannelSet(app, det, part)
     i_two = analysis.intensity(channels.no_detector.field)
@@ -189,6 +201,7 @@ def _sweep_artifacts(cfg: RunConfig) -> dict[str, str]:
     if len(cfg.sweep_d_values) < 2:
         raise ConfigError("sweep.d_values", "need at least 2 entries")
     _validated(cfg)
+    _check_window(cfg)
     ana = cfg.analysis
     table = analysis.sweep_interslit(
         cfg.apparatus,

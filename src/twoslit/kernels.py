@@ -21,12 +21,17 @@ pattern's verdict hangs on such a tie, which only the direct sum's
 rounding reproduces.  The direct path goes once that search is
 plateau-aware.
 
-The direct sum and the Monte Carlo phase sum work in row blocks of about
-2^16 elements (~1 MiB of complex temporaries): a block of output rows of
-the propagation, a block of paths of the phase sum.  Each output element
-is a reduction over one row, of fixed length and order, whatever block
-holds the row, so the bytes do not depend on the block size, the worker
-count or the scheduling.  Blocks write disjoint slices of the output and
+The direct sum and the Monte Carlo phase sum work in row blocks of at
+most 2^16 elements: a block of output rows of the propagation, a block
+of paths of the phase sum.  A direct block holds one complex buffer
+(1 MiB when full, inside a 2 MiB per-core L2 cache): the distances go in
+its real part, the phases coef*d*d in its imaginary part, with the same
+roundings, and it is exponentiated in place.  A sum that makes fewer
+blocks than there are workers is split into equal blocks, one per
+worker (one per row if the rows are fewer).  Each output element is a
+reduction over one row, of fixed length and order, whatever block holds
+the row, so the bytes depend on neither the split nor the worker count
+nor the scheduling.  Blocks write disjoint slices of the output and
 numpy releases the GIL in their loops, so they run on one thread pool
 sized from the CPU affinity of the process (``os.sched_getaffinity``,
 else ``os.cpu_count()``), created on the first call with several
@@ -136,12 +141,16 @@ _POOL_LOCK = threading.Lock()
 
 
 def _blocks(fn, n_rows: int, row_len: int) -> None:
-    """Call fn(s, e) once per block of rows s..e-1 covering range(n_rows),
-    with about _BLOCK elements per block; on the pool when there are
+    """Call fn(s, e) once per block of rows s..e-1 covering range(n_rows)
+    in order, with at most _BLOCK elements (or one row) per block and at
+    least min(n_rows, _WORKERS) blocks; on the pool when there are
     several blocks and several workers."""
     global _POOL
     step = max(1, _BLOCK // max(row_len, 1))
     spans = [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
+    n = min(n_rows, _WORKERS)
+    if len(spans) < n:  # too few blocks for the pool: n equal ones instead
+        spans = [(k * n_rows // n, (k + 1) * n_rows // n) for k in range(n)]
     if len(spans) < 2 or _WORKERS < 2:
         for s, e in spans:
             fn(s, e)
@@ -176,12 +185,13 @@ def propagate_sum(x_out, x_in, values, dx, pref, coef):
     out = np.empty(x_out.size, np.complex128)
 
     def block(s, e):
-        d = x_out[s:e, None] - x_in[None, :]
-        ph = coef * d
+        # one complex buffer: d in its real part, coef*d*d in its imaginary
+        w = np.empty((e - s, x_in.size), np.complex128)
+        d, ph = w.real, w.imag
+        np.subtract(x_out[s:e, None], x_in, out=d)
+        np.multiply(coef, d, out=ph)
         ph *= d
-        w = np.empty(d.shape, np.complex128)
-        w.real = 0.0
-        w.imag = ph
+        d[...] = 0.0
         np.exp(w, out=w)
         w *= values
         w.sum(axis=1, out=out[s:e])

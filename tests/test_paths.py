@@ -228,6 +228,7 @@ def _mc_phase_oracle(key, n_paths, n_slices, dx_total, t_total, mass, sigma):
         (3 * (kernels._BLOCK // 32) + 5, 32),  # three full blocks and a ragged tail
         (70_001, 1),
         (2, kernels._BLOCK + 3),  # one path per block
+        (1001, 32),  # fewer paths than one block holds, split across the workers
     ],
 )
 def test_mc_phase_array_matches_chunked_loop_bit_for_bit(kernel_workers, n_paths, n_slices):

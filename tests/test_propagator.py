@@ -1,5 +1,6 @@
 import cmath
 import math
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,7 @@ def _propagate_sum_oracle(x_out, x_in, values, dx, pref, coef):
         (500, 1),  # a single row
         (kernels._DIRECT_MAX_IN, 3 * (kernels._BLOCK // kernels._DIRECT_MAX_IN) + 7),  # ragged, as routed
         (kernels._DIRECT_MAX_IN, 1),  # a single row, as routed
+        (64, 993),  # fewer rows than one block holds, split across the workers
     ],
 )
 def test_propagate_sum_matches_direct_sum_bit_for_bit(kernel_workers, monkeypatch, n_in, n_out):
@@ -200,6 +202,39 @@ def test_propagate_sum_matches_direct_sum_bit_for_bit(kernel_workers, monkeypatc
     want = _propagate_sum_oracle(x_out, x_in, values, dx, pref, coef)
     assert got.dtype == want.dtype == np.complex128
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class _InlinePool:
+    """Runs each submitted block at once, so spans arrive in submission order."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@given(
+    n_rows=st.integers(0, 5000),
+    row_len=st.integers(1, 2 * kernels._BLOCK),
+    workers=st.integers(1, 9),
+)
+@example(n_rows=993, row_len=64, workers=2)  # a desk disc capture
+@example(n_rows=4096, row_len=64, workers=2)  # a desk aperture field: four full blocks
+@example(n_rows=5, row_len=1, workers=4)
+@example(n_rows=3, row_len=kernels._BLOCK + 1, workers=8)
+def test_blocks_tile_rows_with_a_block_per_worker(n_rows, row_len, workers):
+    spans = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_WORKERS", workers)
+        mp.setattr(kernels, "_POOL", _InlinePool())
+        kernels._blocks(lambda s, e: spans.append((s, e)), n_rows, row_len)
+    step = max(1, kernels._BLOCK // row_len)
+    ends = [0] + [e for _, e in spans]
+    assert [s for s, _ in spans] == ends[:-1] and ends[-1] == n_rows  # in order, no gap or overlap
+    assert all(0 < e - s <= step for s, e in spans)
+    assert len(spans) >= min(n_rows, workers)
+    if workers == 1:
+        assert spans == [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
 
 
 @given(
