@@ -57,19 +57,14 @@ from .propagator import (
     transmitted_power,
 )
 from .scenario import (
-    ChannelField,
+    ChannelSet,
     CrossingWindow,
     combined_intensity,
     crossing_window,
-    detected_channel_amplitude,
     detection_probability,
-    kick_reference_intensity,
     kick_visibility_factor,
-    null_channel_amplitude,
-    one_slit_amplitude,
     screen_grid,
     stub_source,
-    two_slit_amplitude,
 )
 from .uncertainty import UncertaintyReport, packet_uncertainties
 
@@ -77,7 +72,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Apparatus",
-    "ChannelField",
+    "ChannelSet",
     "ConfigError",
     "CrossingWindow",
     "DetectorConfig",
@@ -105,21 +100,17 @@ __all__ = [
     "combined_intensity",
     "crossing_count",
     "crossing_window",
-    "detected_channel_amplitude",
     "detection_probability",
     "fraunhofer_oracle",
     "free_kernel",
     "fringe_spacing",
     "intensity",
-    "kick_reference_intensity",
     "kick_visibility_factor",
     "load_config",
     "local_visibility_profile",
     "make_detector",
     "make_particle",
     "mc_kernel_estimate",
-    "null_channel_amplitude",
-    "one_slit_amplitude",
     "onset_metrics",
     "packet_uncertainties",
     "parse_config",
@@ -132,7 +123,6 @@ __all__ = [
     "sweep_interslit",
     "transmitted_power",
     "truncate_bundle",
-    "two_slit_amplitude",
     "validate",
     "visibility",
     "__version__",

@@ -21,7 +21,7 @@ want.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,17 +76,7 @@ class SweepRow:
 class SweepTable:
     rows: tuple[SweepRow, ...] = field(default_factory=tuple)
 
-    COLUMNS = (
-        "d",
-        "d_over_lambda_ph",
-        "visibility_null",
-        "visibility_det",
-        "visibility_combined",
-        "visibility_kick_reference",
-        "centroid_null",
-        "asymmetry_det",
-        "p_det",
-    )
+    COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def intensity(field_in: PlaneField, normalize: bool = True) -> IntensityProfile:
@@ -187,6 +177,17 @@ def visibility(profile: IntensityProfile, window: tuple[float, float]) -> float:
     return min(max((hi_mean - lo_mean) / total, 0.0), 1.0)
 
 
+def check_window_width(window_width: float, dx: float) -> None:
+    """Refuse a sliding window narrower than MIN_WINDOW_SAMPLES samples
+    of spacing dx."""
+    if not (window_width > 0.0):
+        raise InvalidArgumentError(f"window_width must be > 0, got {window_width}")
+    if window_width < (MIN_WINDOW_SAMPLES - 1) * dx:
+        raise InvalidArgumentError(
+            f"window_width={window_width} spans fewer than {MIN_WINDOW_SAMPLES} samples"
+        )
+
+
 def local_visibility_profile(profile: IntensityProfile, window_width: float) -> np.ndarray:
     """Sliding-window visibility at every sample point.
 
@@ -194,12 +195,7 @@ def local_visibility_profile(profile: IntensityProfile, window_width: float) -> 
     either extremum set is empty score 0.  Global extrema are indexed
     once and each window reads its slice through prefix sums.
     """
-    if not (window_width > 0.0):
-        raise InvalidArgumentError(f"window_width must be > 0, got {window_width}")
-    if window_width < (MIN_WINDOW_SAMPLES - 1) * profile.dx:
-        raise InvalidArgumentError(
-            f"window_width={window_width} spans fewer than {MIN_WINDOW_SAMPLES} samples"
-        )
+    check_window_width(window_width, profile.dx)
     x, v = profile.x, profile.values
     imax, imin = _strict_extrema(v)
     half = 0.5 * window_width
@@ -326,8 +322,8 @@ def measure_channels(
     baseline is one-slit A; the detected channel's is its stub-only
     re-emission."""
     profiles = {
-        "null": intensity(channels.null.field),
-        "detected": intensity(channels.detected.field),
+        "null": intensity(channels.null),
+        "detected": intensity(channels.detected),
         "combined": channels.combined,
         "kick_reference": channels.kick_reference,
     }
@@ -337,7 +333,7 @@ def measure_channels(
         visibility={k: visibility(v, central_window) for k, v in profiles.items()},
         onset_null=onset_metrics(profiles["null"], intensity(channels.psi_a), *onset),
         onset_detected=onset_metrics(
-            profiles["detected"], intensity(channels.detected_baseline.field), *onset
+            profiles["detected"], intensity(channels.stub_image), *onset
         ),
         p_det=channels.p_det,
     )

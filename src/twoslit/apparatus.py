@@ -18,7 +18,7 @@ distance L apart is T = L / v (paraxial reduction).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import InvalidArgumentError
 
@@ -95,18 +95,7 @@ class Apparatus:
         """Same apparatus with the slits moved to separation d about
         their current midpoint."""
         mid = 0.5 * (self.slit_A_center + self.slit_B_center)
-        return Apparatus(
-            source_x=self.source_x,
-            L1=self.L1,
-            L2=self.L2,
-            slit_A_center=mid - 0.5 * d,
-            slit_B_center=mid + 0.5 * d,
-            slit_width=self.slit_width,
-            screen_min=self.screen_min,
-            screen_max=self.screen_max,
-            screen_samples=self.screen_samples,
-            aperture_samples=self.aperture_samples,
-        )
+        return replace(self, slit_A_center=mid - 0.5 * d, slit_B_center=mid + 0.5 * d)
 
 
 @dataclass(frozen=True)

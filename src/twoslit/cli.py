@@ -10,7 +10,9 @@ The CLI parses, dispatches, serializes and writes.  simulate measures
 one scenario.ChannelSet with analysis.measure_channels: 4 propagations,
 6 when slit A's cone reaches the disc, 2 with the detector off.  sweep
 validates every d_values entry, then does the same per entry; both
-first check that analysis.central_window holds enough screen samples.
+first check that analysis.central_window holds enough screen samples
+and, with the detector on, that analysis.local_window_width spans
+enough of them.
 paths writes the bundles and crossing counts of paths.experiment_paths
 and runs no propagation.
 
@@ -132,13 +134,20 @@ def _validated(cfg: RunConfig) -> ValidationReport:
 
 
 def _check_window(cfg: RunConfig) -> None:
-    """Refuse a central window with too few screen samples before any
-    propagation."""
-    x, _ = scenario.screen_grid(cfg.apparatus).points_and_spacing()
+    """Refuse a central window with too few screen samples, or (with the
+    detector on) a local window narrower than the onset statistics
+    accept, before any propagation."""
+    x, dx = scenario.screen_grid(cfg.apparatus).points_and_spacing()
+    ana = cfg.analysis
     try:
-        analysis.window_mask(x, cfg.analysis.central_window)
+        analysis.window_mask(x, ana.central_window)
     except InvalidArgumentError as exc:
         raise InvalidArgumentError(f"analysis.central_window: {exc}") from None
+    if cfg.detector.enabled:
+        try:
+            analysis.check_window_width(ana.local_window_width, dx)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"analysis.local_window_width: {exc}") from None
 
 
 def _simulate_artifacts(cfg: RunConfig) -> dict[str, str]:
@@ -149,7 +158,7 @@ def _simulate_artifacts(cfg: RunConfig) -> dict[str, str]:
     _check_window(cfg)
 
     channels = scenario.ChannelSet(app, det, part)
-    i_two = analysis.intensity(channels.no_detector.field)
+    i_two = analysis.intensity(channels.no_detector)
     x = i_two.x
 
     summary: dict = {"config_valid": True, "detector_enabled": det.enabled}

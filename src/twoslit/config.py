@@ -58,7 +58,7 @@ def _check_keys(node: dict, path: str, required: set[str], optional: set[str]) -
     for key in node:
         if key not in required and key not in optional:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
-    for key in required:
+    for key in sorted(required):
         if key not in node:
             raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
 

@@ -1,30 +1,33 @@
-"""Channel amplitudes on the screen: two-slit, one-slit, the null- and
-detected-measurement channels, their probabilistic mixture, and a
-momentum-kick reference model.
+"""Screen amplitudes of one apparatus geometry, built by ChannelSet:
+the two-slit pattern, the null- and detected-measurement channels,
+their probabilistic mixture, and a momentum-kick reference model.
 
 Channel construction
 --------------------
-no_detector      point source -> both slit apertures -> screen (coherent)
-one_slit_A/B     same with a single aperture
-null_detection   psi_A(x) + W(x) * psi_stub(x): the B amplitude survives
+psi_A, psi_B     point source -> one slit aperture -> screen
+no_detector      psi_A + psi_B (coherent)
+null             psi_A(x) + W(x) * psi_stub(x): the B amplitude survives
                  only as the stub terminated on the detection disc, and
                  it contributes on the screen only inside the geometric
                  crossing window W of straight lines from slit A through
                  the disc
-detected_at_B    the disc re-emits what it captured: the B stub plus
+detected         the disc re-emits what it captured: the B stub plus
                  whatever part of A's forward cone lies inside the disc
                  (zero once the cone and disc are disjoint)
+combined         (1 - p_det) |null|^2 + p_det |detected|^2, each unit-area
 kick_reference   |psi_A|^2 + |psi_B|^2 + 2*gamma*Re(psi_A conj(psi_B))
                  with gamma = exp(-(pi*d/lambda_ph)^2 / 2), an
                  independent decoherence surrogate used as an oracle
 
-ChannelSet derives every channel of one geometry from these fields, each
-propagated once, in order: psi_A and psi_B at the screen; the B stub at
-the disc (p_det from its power, or the override); the trapped A field at
-the disc, only when A's cone reaches it; the stub's screen image (also
-the stub-only baseline); the detected image propagate(stub + trapped),
-the stub image itself when nothing is trapped.  That is 4 propagations
-per geometry, 6 when A's cone reaches the disc.
+The channels are plain PlaneFields; the detection probability p_det
+weighs them in the mixture.  ChannelSet propagates each field once, in
+order: psi_A and psi_B at the screen; the B stub at the disc (p_det from
+its power, or the override); the trapped A field at the disc, only when
+A's cone reaches it; the stub's screen image (stub_image, also the
+detected channel's no-interference baseline); the detected channel
+propagate(stub + trapped), the stub image itself when nothing is
+trapped.  That is 4 propagations per geometry, 6 when A's cone reaches
+the disc.
 
 The disc restriction multiplies by a flat-top window with C-infinity
 edges (support exactly [x_B - rho, x_B + rho]); a hard edge would add
@@ -64,13 +67,6 @@ DISC_EDGE_FLAT = 0.8
 
 
 @dataclass(frozen=True)
-class ChannelField:
-    channel: str  # no_detector | one_slit_A | one_slit_B | null_detection | detected_at_B
-    field: PlaneField
-    probability_weight: float
-
-
-@dataclass(frozen=True)
 class CrossingWindow:
     """Slope band of straight lines from slit A passing within rho of
     the disc center, and its image on the screen plane."""
@@ -104,20 +100,6 @@ def barrier_field(apparatus: Apparatus, particle: Particle, slit: str) -> PlaneF
     return point_source_field(
         apparatus.source_x, _aperture_grid(apparatus, interval), apparatus.L1, particle
     )
-
-
-def one_slit_amplitude(apparatus: Apparatus, particle: Particle, slit: str) -> ChannelField:
-    f = barrier_field(apparatus, particle, slit)
-    out = propagate(f, apparatus.L2, particle, screen_grid(apparatus))
-    return ChannelField(channel=f"one_slit_{slit}", field=out, probability_weight=1.0)
-
-
-def two_slit_amplitude(apparatus: Apparatus, particle: Particle) -> ChannelField:
-    """Coherent sum of the two one-slit screen amplitudes."""
-    a = one_slit_amplitude(apparatus, particle, "A").field
-    b = one_slit_amplitude(apparatus, particle, "B").field
-    out = PlaneField(z_label=a.z_label, x=a.x, values=a.values + b.values, dx=a.dx)
-    return ChannelField(channel="no_detector", field=out, probability_weight=1.0)
 
 
 def disc_window(u: np.ndarray) -> np.ndarray:
@@ -218,17 +200,21 @@ class ChannelSet:
     def __init__(self, apparatus: Apparatus, detector: DetectorConfig, particle: Particle):
         self.apparatus, self.detector, self.particle = apparatus, detector, particle
 
+    def _slit_to_screen(self, slit: str) -> PlaneField:
+        app, part = self.apparatus, self.particle
+        return propagate(barrier_field(app, part, slit), app.L2, part, screen_grid(app))
+
     def _disc_to_screen(self, source: PlaneField) -> PlaneField:
         app = self.apparatus
         return propagate(source, app.L2 - self.detector.depth_epsilon, self.particle, screen_grid(app))
 
     @cached_property
     def psi_a(self) -> PlaneField:
-        return one_slit_amplitude(self.apparatus, self.particle, "A").field
+        return self._slit_to_screen("A")
 
     @cached_property
     def psi_b(self) -> PlaneField:
-        return one_slit_amplitude(self.apparatus, self.particle, "B").field
+        return self._slit_to_screen("B")
 
     @cached_property
     def stub(self) -> PlaneField:
@@ -251,10 +237,30 @@ class ChannelSet:
 
     @cached_property
     def stub_image(self) -> PlaneField:
+        """Stub-only re-emission: the detected channel's baseline."""
         return self._disc_to_screen(self.stub)
 
     @cached_property
-    def detected_image(self) -> PlaneField:
+    def no_detector(self) -> PlaneField:
+        a, b = self.psi_a, self.psi_b
+        return PlaneField(a.z_label, a.x, a.values + b.values, a.dx)
+
+    @cached_property
+    def null(self) -> PlaneField:
+        """psi_A plus the stub image masked to the crossing window, ramped
+        over one grid cell; psi_A alone when the window misses the screen."""
+        psi_a = self.psi_a
+        win = crossing_window(self.apparatus, self.detector)
+        dx = psi_a.dx
+        if not win.intersects(psi_a.grid_min - dx, psi_a.grid_max + dx):
+            return psi_a
+        ramp_lo = (psi_a.x - (win.screen_lo - dx)) / dx
+        ramp_hi = ((win.screen_hi + dx) - psi_a.x) / dx
+        w = np.clip(np.minimum(ramp_lo, ramp_hi), 0.0, 1.0)
+        return PlaneField(psi_a.z_label, psi_a.x, psi_a.values + w * self.stub_image.values, dx)
+
+    @cached_property
+    def detected(self) -> PlaneField:
         """propagate(stub + trapped): the sum is formed at the disc, not on
         the screen.  With nothing trapped it is the stub image itself."""
         if self.trapped is None:
@@ -262,37 +268,6 @@ class ChannelSet:
         src = self.stub
         both = PlaneField(src.z_label, src.x, src.values + self.trapped.values, src.dx)
         return self._disc_to_screen(both)
-
-    @cached_property
-    def no_detector(self) -> ChannelField:
-        a, b = self.psi_a, self.psi_b
-        return ChannelField("no_detector", PlaneField(a.z_label, a.x, a.values + b.values, a.dx), 1.0)
-
-    @cached_property
-    def null(self) -> ChannelField:
-        """psi_A plus the stub image masked to the crossing window, ramped
-        over one grid cell; psi_A alone when the window misses the screen."""
-        weight = 1.0 - self.p_det
-        psi_a = self.psi_a
-        win = crossing_window(self.apparatus, self.detector)
-        dx = psi_a.dx
-        if not win.intersects(psi_a.grid_min - dx, psi_a.grid_max + dx):
-            return ChannelField(channel="null_detection", field=psi_a, probability_weight=weight)
-        ramp_lo = (psi_a.x - (win.screen_lo - dx)) / dx
-        ramp_hi = ((win.screen_hi + dx) - psi_a.x) / dx
-        w = np.clip(np.minimum(ramp_lo, ramp_hi), 0.0, 1.0)
-        values = psi_a.values + w * self.stub_image.values
-        field = PlaneField(z_label=psi_a.z_label, x=psi_a.x, values=values, dx=dx)
-        return ChannelField(channel="null_detection", field=field, probability_weight=weight)
-
-    @cached_property
-    def detected(self) -> ChannelField:
-        return ChannelField("detected_at_B", self.detected_image, self.p_det)
-
-    @cached_property
-    def detected_baseline(self) -> ChannelField:
-        """Stub-only re-emission, the detected channel's baseline."""
-        return ChannelField("detected_at_B", self.stub_image, self.p_det)
 
     @cached_property
     def combined(self) -> IntensityProfile:
@@ -319,38 +294,18 @@ def detection_probability(
     return ChannelSet(apparatus, detector, particle).p_det
 
 
-def null_channel_amplitude(
-    apparatus: Apparatus, detector: DetectorConfig, particle: Particle
-) -> ChannelField:
-    """Screen amplitude when the detector stays silent."""
-    return ChannelSet(apparatus, detector, particle).null
-
-
-def detected_channel_amplitude(
-    apparatus: Apparatus, detector: DetectorConfig, particle: Particle, include_trapped: bool = True
-) -> ChannelField:
-    """Screen amplitude after a detection at B: the disc re-emits the
-    stub plus the trapped part of A's cone.  include_trapped=False gives
-    the stub-only re-emission (the no-interference baseline)."""
-    channels = ChannelSet(apparatus, detector, particle)
-    return channels.detected if include_trapped else channels.detected_baseline
-
-
-def combined_intensity(null: ChannelField, det: ChannelField, p_det: float) -> IntensityProfile:
+def combined_intensity(null: PlaneField, det: PlaneField, p_det: float) -> IntensityProfile:
     """Convex mixture of the unit-area channel intensities."""
     if not (0.0 <= p_det <= 1.0):
         raise InvalidArgumentError(f"p_det must lie in [0,1], got {p_det}")
-    fa, fb = null.field, det.field
-    if fa.x.size != fb.x.size or not np.array_equal(fa.x, fb.x):
+    if null.x.size != det.x.size or not np.array_equal(null.x, det.x):
         raise InvalidArgumentError("null and detected channels are on different grids")
     if p_det == 0.0:
-        return intensity(fa, normalize=True)
+        return intensity(null)
     if p_det == 1.0:
-        return intensity(fb, normalize=True)
-    i_null = intensity(fa, normalize=True)
-    i_det = intensity(fb, normalize=True)
-    vals = (1.0 - p_det) * i_null.values + p_det * i_det.values
-    return IntensityProfile(x=fa.x, values=vals, dx=fa.dx, normalized=True)
+        return intensity(det)
+    vals = (1.0 - p_det) * intensity(null).values + p_det * intensity(det).values
+    return IntensityProfile(x=null.x, values=vals, dx=null.dx, normalized=True)
 
 
 def kick_visibility_factor(d: float, photon_wavelength: float) -> float:
@@ -358,9 +313,3 @@ def kick_visibility_factor(d: float, photon_wavelength: float) -> float:
     u = math.pi * d / photon_wavelength
     return math.exp(-0.5 * u * u)
 
-
-def kick_reference_intensity(
-    apparatus: Apparatus, detector: DetectorConfig, particle: Particle
-) -> IntensityProfile:
-    """Two-slit pattern with the cross term damped by gamma(d, lambda_ph)."""
-    return ChannelSet(apparatus, detector, particle).kick_reference

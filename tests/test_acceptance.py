@@ -26,17 +26,7 @@ from twoslit.apparatus import Apparatus, make_detector, make_particle
 from twoslit.cli import main
 from twoslit.paths import SpacetimeEvent, mc_kernel_estimate
 from twoslit.propagator import GridSpec, PlaneField, free_kernel, propagate
-from twoslit.scenario import (
-    combined_intensity,
-    crossing_window,
-    detected_channel_amplitude,
-    detection_probability,
-    kick_reference_intensity,
-    kick_visibility_factor,
-    null_channel_amplitude,
-    one_slit_amplitude,
-    two_slit_amplitude,
-)
+from twoslit.scenario import ChannelSet, combined_intensity, crossing_window, kick_visibility_factor
 from twoslit.uncertainty import packet_uncertainties
 
 REPO = Path(__file__).resolve().parent.parent
@@ -115,8 +105,8 @@ def test_path_sum_estimator(desk_particle):
     )
 
 
-def test_two_slit_fringes(desk_apparatus, desk_particle, desk_window):
-    prof = intensity(two_slit_amplitude(desk_apparatus, desk_particle).field)
+def test_two_slit_fringes(desk_apparatus, desk_detector, desk_particle, desk_window):
+    prof = intensity(ChannelSet(desk_apparatus, desk_detector, desk_particle).no_detector)
     want = desk_particle.de_broglie_wavelength * desk_apparatus.L2 / desk_apparatus.slit_separation
     spacing = fringe_spacing(prof)
     spacing_err = abs(spacing - want) / want
@@ -133,12 +123,10 @@ def test_two_slit_fringes(desk_apparatus, desk_particle, desk_window):
 
 def test_fringe_disappearance(desk_apparatus, desk_detector, desk_particle, desk_window):
     far = desk_apparatus.with_slit_separation(100.0 * desk_detector.radius_rho)
-    null = null_channel_amplitude(far, desk_detector, desk_particle)
-    det = detected_channel_amplitude(far, desk_detector, desk_particle)
-    p = detection_probability(far, desk_detector, desk_particle)
-    vis = visibility(combined_intensity(null, det, p), desk_window)
-    psi_a = one_slit_amplitude(far, desk_particle, "A").field
-    bitwise = bool(np.array_equal(null.field.values, psi_a.values))
+    cs = ChannelSet(far, desk_detector, desk_particle)
+    vis = visibility(combined_intensity(cs.null, cs.detected, cs.p_det), desk_window)
+    psi_a = ChannelSet(far, desk_detector, desk_particle).psi_a
+    bitwise = bool(np.array_equal(cs.null.values, psi_a.values))
     ok = vis < 0.01 and bitwise
     _verdict(
         ok,
@@ -172,8 +160,9 @@ def test_onset_enters_from_crossing_side(desk_apparatus, desk_detector, desk_par
     ]
     d_edge = max(on_screen)
     app = desk_apparatus.with_slit_separation(d_edge)
-    null = intensity(null_channel_amplitude(app, desk_detector, desk_particle).field)
-    base = intensity(one_slit_amplitude(app, desk_particle, "A").field)
+    cs = ChannelSet(app, desk_detector, desk_particle)
+    null = intensity(cs.null)
+    base = intensity(cs.psi_a)
     rep = onset_metrics(null, base, window_width=8.0e4)
     ok = rep.onset_side == "right" and rep.visibility_centroid_x > 0.0
     _verdict(
@@ -186,10 +175,9 @@ def test_onset_enters_from_crossing_side(desk_apparatus, desk_detector, desk_par
 
 def test_onset_balances_when_detected(desk_apparatus, desk_detector, desk_particle):
     app = desk_apparatus.with_slit_separation(0.5 * desk_detector.radius_rho)
-    det = intensity(detected_channel_amplitude(app, desk_detector, desk_particle).field)
-    base = intensity(
-        detected_channel_amplitude(app, desk_detector, desk_particle, include_trapped=False).field
-    )
+    cs = ChannelSet(app, desk_detector, desk_particle)
+    det = intensity(cs.detected)
+    base = intensity(cs.stub_image)
     rep = onset_metrics(det, base, window_width=8.0e4)
     ok = rep.onset_side in {"center", "left"} and rep.asymmetry_index <= 0.1
     _verdict(
@@ -234,7 +222,7 @@ def test_kick_visibility_oracle(desk_particle):
         )
         det = make_detector(enabled=True, photon_wavelength=lam_ph, radius_rho=20.0, depth_epsilon=5.0)
         vis = visibility(
-            kick_reference_intensity(app, det, desk_particle), (-10.0 * spacing, 10.0 * spacing)
+            ChannelSet(app, det, desk_particle).kick_reference, (-10.0 * spacing, 10.0 * spacing)
         )
         worst = max(worst, abs(vis - kick_visibility_factor(d, lam_ph)))
     tiny = kick_visibility_factor(500.0, 500.0)

@@ -246,6 +246,52 @@ def test_desk_sweep_verdicts_are_pinned(tmp_path: Path):
     assert json.loads((out / "sweep_digest.json").read_text())["onset_d"] == 25.0
 
 
+# Numeric summary.json fields of simulate on the shipped configs, grouped
+# and checked within 1e-9 of each group's peak (a group whose values are
+# all zero must stay exactly zero).  Paper visibility.no_detector hangs
+# on an exact tie of two screen samples, like the desk sweep's d = 10
+# kick value.
+SIMULATE_SUMMARIES = {
+    "desk.json": {
+        "visibility": {
+            "no_detector": 0.9995011462778518, "null": 0.0, "detected": 0.007272583717051133,
+            "combined": 0.002493750909369177, "kick_reference": 0.0,
+        },
+        "p_det": {"p_det": 0.4115087224392881},
+        "fringe_spacing": {"fringe_spacing_no_detector": 1257.3536886378686},
+        "onset": {
+            "onset_null.visibility_centroid_x": 0.0, "onset_null.asymmetry_index": 0.0,
+            "onset_detected.visibility_centroid_x": 0.0, "onset_detected.asymmetry_index": 0.0,
+        },
+    },
+    "paper.json": {
+        "visibility": {
+            "no_detector": 0.9999999533614096, "null": 0.0, "detected": 0.0,
+            "combined": 0.0, "kick_reference": 0.0,
+        },
+        "p_det": {"p_det": 0.40931255483004747},
+        "fringe_spacing": {"fringe_spacing_no_detector": 133185782.16804297},
+        "onset": {
+            "onset_null.visibility_centroid_x": 0.0, "onset_null.asymmetry_index": 0.0,
+            "onset_detected.visibility_centroid_x": 0.0, "onset_detected.asymmetry_index": 0.0,
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("name", SIMULATE_SUMMARIES)
+def test_simulate_summaries_are_pinned(name, tmp_path: Path):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(CONFIGS / name), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    for group, want in SIMULATE_SUMMARIES[name].items():
+        node = summary["visibility"] if group == "visibility" else summary
+        peak = max(abs(v) for v in want.values())
+        for path, value in want.items():
+            got = functools.reduce(lambda d, k: d[k], path.split("."), node)
+            assert abs(got - value) <= 1e-9 * peak, (group, path, got)
+
+
 def _desk_variant(tmp_path: Path, section: str, **changes) -> str:
     root = json.loads((CONFIGS / "desk.json").read_text())
     root[section].update(changes)
@@ -254,18 +300,38 @@ def _desk_variant(tmp_path: Path, section: str, **changes) -> str:
     return str(p)
 
 
+# Two screen samples of desk's 4096 fall inside [-50, 50]; a local
+# window of 1000 bohr spans about 10 of desk's ~97.7 bohr cells.
+NARROW_WINDOWS = {
+    "central_window": {"central_window": [-50.0, 50.0]},
+    "local_window_width": {"local_window_width": 1000.0},
+}
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_narrow_window_fails_before_any_propagation(command, tmp_path: Path, capsys, monkeypatch):
     calls = []
     propagate_sum = kernels.propagate_sum
     monkeypatch.setattr(kernels, "propagate_sum", lambda *a: calls.append(a) or propagate_sum(*a))
-    # two screen samples of desk's 4096 fall inside [-50, 50]
-    cfg = _desk_variant(tmp_path, "analysis", central_window=[-50.0, 50.0])
-    out = tmp_path / "never"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 3
-    assert "analysis.central_window" in capsys.readouterr().err
-    assert calls == []
-    assert not out.exists()
+    for key, change in NARROW_WINDOWS.items():
+        cfg = _desk_variant(tmp_path, "analysis", **change)
+        out = tmp_path / "never"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3, key
+        assert f"analysis.{key}" in capsys.readouterr().err
+        assert calls == [], key
+        assert not out.exists(), key
+
+
+def test_narrow_local_window_is_ignored_without_detector(tmp_path: Path):
+    # a detector-off simulate never computes local visibility
+    root = json.loads((CONFIGS / "desk.json").read_text())
+    root["analysis"]["local_window_width"] = 1000.0
+    root["detector"]["enabled"] = False
+    cfg = tmp_path / "desk_off.json"
+    cfg.write_text(json.dumps(root), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["p_det"] is None
 
 
 def _guard_package(monkeypatch) -> list[str]:

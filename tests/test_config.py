@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,3 +132,23 @@ def test_repo_configs_parse():
         cfg = load_config(here / "configs" / name)
         assert cfg.sweep_d_values is not None
         assert cfg.paths is not None
+
+
+def test_missing_key_report_is_independent_of_hash_seed():
+    # key sets iterate in hash order; under these two seeds that order
+    # put a different root key first
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "from twoslit.config import parse_config\n"
+        "try:\n    parse_config({})\n"
+        "except Exception as exc:\n    print(exc)\n"
+    )
+    messages = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        messages.append(run.stdout)
+    assert messages[0] == messages[1] == "analysis: missing required key\n"

@@ -7,21 +7,18 @@ import pytest
 from twoslit.analysis import intensity, local_visibility_profile, visibility
 from twoslit.apparatus import Apparatus, DetectorConfig, make_detector, make_particle
 from twoslit.errors import InvalidArgumentError, InvalidStateError
-from twoslit.propagator import GridSpec, point_source_field, transmitted_power
+from twoslit.propagator import GridSpec, point_source_field, propagate, transmitted_power
 from twoslit.scenario import (
+    ChannelSet,
+    barrier_field,
     combined_intensity,
     crossing_window,
-    detected_channel_amplitude,
     detection_probability,
     disc_window,
-    kick_reference_intensity,
     kick_visibility_factor,
-    null_channel_amplitude,
-    one_slit_amplitude,
     screen_grid,
     stub_source,
     trapped_a_source,
-    two_slit_amplitude,
 )
 
 
@@ -32,26 +29,28 @@ def test_screen_grid(desk_apparatus):
     assert np.array_equal(x, -x[::-1])
 
 
-def test_two_slit_is_sum_of_one_slit(desk_apparatus, desk_particle):
-    a = one_slit_amplitude(desk_apparatus, desk_particle, "A").field
-    b = one_slit_amplitude(desk_apparatus, desk_particle, "B").field
-    two = two_slit_amplitude(desk_apparatus, desk_particle).field
-    assert np.array_equal(two.values, a.values + b.values)
+def test_two_slit_is_sum_of_one_slit(desk_apparatus, desk_detector, desk_particle):
+    cs = ChannelSet(desk_apparatus, desk_detector, desk_particle)
+    for slit, psi in (("A", cs.psi_a), ("B", cs.psi_b)):
+        src = barrier_field(desk_apparatus, desk_particle, slit)
+        want = propagate(src, desk_apparatus.L2, desk_particle, screen_grid(desk_apparatus))
+        assert np.array_equal(psi.values, want.values)
+    assert np.array_equal(cs.no_detector.values, cs.psi_a.values + cs.psi_b.values)
 
 
 def test_one_slit_bad_label(desk_apparatus, desk_particle):
     with pytest.raises(InvalidArgumentError):
-        one_slit_amplitude(desk_apparatus, desk_particle, "C")
+        barrier_field(desk_apparatus, desk_particle, "C")
 
 
-def test_two_slit_mirror_symmetric(desk_apparatus, desk_particle):
-    prof = intensity(two_slit_amplitude(desk_apparatus, desk_particle).field)
+def test_two_slit_mirror_symmetric(desk_apparatus, desk_detector, desk_particle):
+    prof = intensity(ChannelSet(desk_apparatus, desk_detector, desk_particle).no_detector)
     flipped = prof.values[::-1]
     assert np.max(np.abs(prof.values - flipped)) / np.max(prof.values) < 1e-9
 
 
-def test_one_slit_has_no_fringes(desk_apparatus, desk_particle, desk_window):
-    prof = intensity(one_slit_amplitude(desk_apparatus, desk_particle, "A").field)
+def test_one_slit_has_no_fringes(desk_apparatus, desk_detector, desk_particle, desk_window):
+    prof = intensity(ChannelSet(desk_apparatus, desk_detector, desk_particle).psi_a)
     assert visibility(prof, desk_window) < 0.05
 
 
@@ -117,10 +116,12 @@ def test_stub_source_confined_to_disc(desk_apparatus, desk_detector, desk_partic
 
 def test_disc_operations_require_detector(desk_apparatus, desk_particle):
     off = make_detector(enabled=False, photon_wavelength=20.0)
-    for fn in (stub_source, trapped_a_source, detection_probability,
-               null_channel_amplitude, detected_channel_amplitude):
+    for fn in (stub_source, trapped_a_source, detection_probability):
         with pytest.raises(InvalidStateError):
             fn(desk_apparatus, off, desk_particle)
+    for name in ("null", "detected"):
+        with pytest.raises(InvalidStateError):
+            getattr(ChannelSet(desk_apparatus, off, desk_particle), name)
     deep = make_detector(enabled=True, photon_wavelength=20.0, depth_epsilon=2.0e5)
     with pytest.raises(InvalidArgumentError):
         stub_source(desk_apparatus, deep, desk_particle)
@@ -168,17 +169,16 @@ def test_detection_probability_scales_with_slit_power(desk_apparatus, desk_parti
 def test_null_channel_reduces_to_one_slit(desk_apparatus, desk_detector, desk_particle):
     # crossing window far beyond the screen: the null record IS one-slit A
     far = desk_apparatus.with_slit_separation(2000.0)
-    null = null_channel_amplitude(far, desk_detector, desk_particle)
-    psi_a = one_slit_amplitude(far, desk_particle, "A").field
-    assert np.array_equal(null.field.values, psi_a.values)
-    p = detection_probability(far, desk_detector, desk_particle)
-    assert null.probability_weight == pytest.approx(1.0 - p)
+    cs = ChannelSet(far, desk_detector, desk_particle)
+    assert cs.null is cs.psi_a
+    psi_a = ChannelSet(far, desk_detector, desk_particle).psi_a
+    assert np.array_equal(cs.null.values, psi_a.values)
 
 
 def test_null_channel_gains_fringes_at_small_d(desk_apparatus, desk_detector, desk_particle):
-    close = desk_apparatus.with_slit_separation(20.0)
-    null = intensity(null_channel_amplitude(close, desk_detector, desk_particle).field)
-    base = intensity(one_slit_amplitude(close, desk_particle, "A").field)
+    cs = ChannelSet(desk_apparatus.with_slit_separation(20.0), desk_detector, desk_particle)
+    null = intensity(cs.null)
+    base = intensity(cs.psi_a)
     width = 8.0e4
     lv_null = local_visibility_profile(null, width)
     lv_base = local_visibility_profile(base, width)
@@ -187,31 +187,26 @@ def test_null_channel_gains_fringes_at_small_d(desk_apparatus, desk_detector, de
 
 
 def test_detected_channel_weights(desk_apparatus, desk_detector, desk_particle):
-    det_cf = detected_channel_amplitude(desk_apparatus, desk_detector, desk_particle)
+    cs = ChannelSet(desk_apparatus, desk_detector, desk_particle)
     p = detection_probability(desk_apparatus, desk_detector, desk_particle)
-    assert det_cf.probability_weight == pytest.approx(p)
+    assert cs.p_det == p
     assert 0.0 < p < 1.0
-    # d = 25 rho: no trapped A amplitude, so the baseline equals the full
-    # detected channel
-    base = detected_channel_amplitude(
-        desk_apparatus, desk_detector, desk_particle, include_trapped=False
-    )
-    assert np.array_equal(det_cf.field.values, base.field.values)
+    # d = 25 rho: no trapped A amplitude, so the stub-only baseline equals
+    # the full detected channel
+    assert np.array_equal(cs.detected.values, cs.stub_image.values)
     # at d = rho/2 the trapped contribution changes the pattern
-    close = desk_apparatus.with_slit_separation(10.0)
-    with_t = detected_channel_amplitude(close, desk_detector, desk_particle)
-    without = detected_channel_amplitude(close, desk_detector, desk_particle, include_trapped=False)
-    assert not np.array_equal(with_t.field.values, without.field.values)
+    close = ChannelSet(desk_apparatus.with_slit_separation(10.0), desk_detector, desk_particle)
+    assert not np.array_equal(close.detected.values, close.stub_image.values)
 
 
 def test_combined_intensity_limits(desk_apparatus, desk_detector, desk_particle):
-    app = desk_apparatus.with_slit_separation(50.0)
-    null = null_channel_amplitude(app, desk_detector, desk_particle)
-    det = detected_channel_amplitude(app, desk_detector, desk_particle)
-    i_null = intensity(null.field)
-    i_det = intensity(det.field)
+    cs = ChannelSet(desk_apparatus.with_slit_separation(50.0), desk_detector, desk_particle)
+    null, det = cs.null, cs.detected
+    i_null = intensity(null)
+    i_det = intensity(det)
     assert np.array_equal(combined_intensity(null, det, 0.0).values, i_null.values)
     assert np.array_equal(combined_intensity(null, det, 1.0).values, i_det.values)
+    assert np.array_equal(cs.combined.values, combined_intensity(null, det, cs.p_det).values)
     mix = combined_intensity(null, det, 0.3)
     want = 0.7 * i_null.values + 0.3 * i_det.values
     assert np.allclose(mix.values, want, rtol=0.0, atol=1e-18)
@@ -228,11 +223,10 @@ def test_kick_visibility_factor():
 
 
 def test_kick_reference_intensity(desk_apparatus, desk_detector, desk_particle):
-    prof = kick_reference_intensity(desk_apparatus, desk_detector, desk_particle)
+    prof = ChannelSet(desk_apparatus, desk_detector, desk_particle).kick_reference
     assert float(np.trapezoid(prof.values, prof.x)) == pytest.approx(1.0, rel=1e-9)
     flipped = prof.values[::-1]
     assert np.max(np.abs(prof.values - flipped)) / np.max(prof.values) < 1e-9
+    off = make_detector(enabled=False, photon_wavelength=20.0)
     with pytest.raises(InvalidStateError):
-        kick_reference_intensity(
-            desk_apparatus, make_detector(enabled=False, photon_wavelength=20.0), desk_particle
-        )
+        ChannelSet(desk_apparatus, off, desk_particle).kick_reference
