@@ -322,8 +322,8 @@ def measure_channels(
     baseline is one-slit A; the detected channel's is its stub-only
     re-emission."""
     profiles = {
-        "null": intensity(channels.null),
-        "detected": intensity(channels.detected),
+        "null": channels.unit_intensity("null"),
+        "detected": channels.unit_intensity("detected"),
         "combined": channels.combined,
         "kick_reference": channels.kick_reference,
     }
@@ -331,9 +331,9 @@ def measure_channels(
     return ChannelMeasurements(
         profiles=profiles,
         visibility={k: visibility(v, central_window) for k, v in profiles.items()},
-        onset_null=onset_metrics(profiles["null"], intensity(channels.psi_a), *onset),
+        onset_null=onset_metrics(profiles["null"], channels.unit_intensity("psi_a"), *onset),
         onset_detected=onset_metrics(
-            profiles["detected"], intensity(channels.stub_image), *onset
+            profiles["detected"], channels.unit_intensity("stub_image"), *onset
         ),
         p_det=channels.p_det,
     )

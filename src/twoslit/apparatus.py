@@ -221,6 +221,17 @@ def validate(apparatus: Apparatus, detector: DetectorConfig, particle: Particle)
             err("nonpositive_photon_wavelength",
                 f"photon_wavelength must be > 0, got {detector.photon_wavelength}")
 
+    # Every grid a run samples must be uniform (the chirp-z propagation
+    # assumes it); far off axis, rounding can space narrow grids unevenly.
+    if not issues:
+        from .propagator import grid_step_error
+        from .scenario import sampled_grids
+
+        for key, name, grid in sampled_grids(a, detector, particle):
+            error = grid_step_error(*grid.points_and_spacing())
+            if error is not None:
+                err("nonuniform_grid", f"{key}: the {name} {error}")
+
     # Warnings are only meaningful on an otherwise sound geometry.
     if not [i for i in issues if i.severity == "error"]:
         lam = particle.de_broglie_wavelength

@@ -7,12 +7,12 @@ ignored: the numpy kernels take no worker count, and results never
 depended on it).
 
 The CLI parses, dispatches, serializes and writes.  simulate measures
-one scenario.ChannelSet with analysis.measure_channels: 4 propagations,
-6 when slit A's cone reaches the disc, 2 with the detector off.  sweep
-validates every d_values entry, then does the same per entry; both
-first check that analysis.central_window holds enough screen samples
-and, with the detector on, that analysis.local_window_width spans
-enough of them.
+one scenario.ChannelSet with analysis.measure_channels: 3 propagations
+(the slit pair counts as one), 5 when slit A's cone reaches the disc, 1
+with the detector off.  sweep validates every d_values entry, then does
+the same per entry; both first check that analysis.central_window holds
+enough screen samples and, with the detector on, that
+analysis.local_window_width spans enough of them.
 paths writes the bundles and crossing counts of paths.experiment_paths
 and runs no propagation.
 

@@ -5,42 +5,43 @@ segment-crossing counter dominate runtime.  Random streams are
 counter-based (splitmix-style hash of seed and index), so path samples
 depend only on (seed, path_id, slice_id).
 
-Propagation takes one of two paths, chosen by input size.  An input of
-more than _DIRECT_MAX_IN points (the detection-disc grid of a fine
-geometry, ~1000 points on desk) goes through Bluestein's chirp-z
-transform (Rabiner, Schafer & Rader 1969; Bluestein 1970): on uniform
-grids the quadrature is one FFT convolution of length >= n_in + n_out - 1,
-equal to the direct sum up to rounding (3e-11 of the peak on desk's
-993 -> 4096 propagations).  pocketfft is single-threaded and runs the
-same operations on every call, so these bytes too depend on neither the
-worker count nor the run.  Smaller
-inputs (aperture grids and the 128-point disc floor) keep the direct
-sum: the visibility extrema search treats two exactly equal screen
-samples as no maximum, and at desk d = rho/2 the kick-reference
-pattern's verdict hangs on such a tie, which only the direct sum's
-rounding reproduces.  The direct path goes once that search is
-plateau-aware.
+Propagation is Bluestein's chirp-z transform (Rabiner, Schafer & Rader
+1969; Bluestein 1970): on uniform grids the quadrature is one FFT
+convolution of length >= n_in + n_out - 1, equal to the direct sum up to
+rounding (3e-11 of the peak on desk's 993 -> 4096 propagations).
+pocketfft is single-threaded and runs the same operations on every call,
+so these bytes depend on neither the worker count nor the run.  One sum
+stays direct: the mirror slit pair, psi_A and psi_B of a source on the
+axis with slits at +-d/2.  The visibility extrema search treats two
+exactly equal screen samples as no maximum, and at desk d = rho/2 the
+kick-reference pattern's verdict hangs on such a tie, which only the
+direct sum's rounding reproduces.  The pair pays for one sum, not two:
+negation is exact, so each term of the mirror image at (j, i) is
+bit-equal to a term of the sum at (n_out-1-j, n_in-1-i), and the mirror
+output is the term matrix read backwards in both axes.  The direct path
+goes once that search is plateau-aware.
 
-The direct sum and the Monte Carlo phase sum work in row blocks of at
+The pair sum and the Monte Carlo phase sum work in row blocks of at
 most 2^16 elements: a block of output rows of the propagation, a block
 of paths of the phase sum.  A direct block holds one complex buffer
 (1 MiB when full, inside a 2 MiB per-core L2 cache): the distances go in
 its real part, the phases coef*d*d in its imaginary part, with the same
-roundings, and it is exponentiated in place.  A sum that makes fewer
-blocks than there are workers is split into equal blocks, one per
-worker (one per row if the rows are fewer).  Each output element is a
-reduction over one row, of fixed length and order, whatever block holds
-the row, so the bytes depend on neither the split nor the worker count
-nor the scheduling.  Blocks write disjoint slices of the output and
-numpy releases the GIL in their loops, so they run on one thread pool
-sized from the CPU affinity of the process (``os.sched_getaffinity``,
-else ``os.cpu_count()``), created on the first call with several
-blocks; with one CPU or one block they run inline.  Module-level
-functions here may be wrapped by the single-threaded tracer in
-``perfbench/tracing.py``, so worker threads run only nested closures and
-numpy.  ``numpy.fft`` is reached as ``np.fft`` at call time: ``import
-numpy`` does not load it, and a run that never needs it never pays for
-its import.
+roundings, and it is exponentiated in place; its mirror rows are summed
+from a reversed view of the same buffer, not from a copy.  A sum that
+makes fewer blocks than there are workers is split into equal blocks,
+one per worker (one per row if the rows are fewer).  Each output element
+is a reduction over one row, of fixed length and order, whatever block
+holds the row, so the bytes depend on neither the split nor the worker
+count nor the scheduling.  Blocks write disjoint slices of the outputs
+and numpy releases the GIL in their loops, so they run on one thread
+pool sized from the CPU affinity of the process
+(``os.sched_getaffinity``, else ``os.cpu_count()``), created on the
+first call with several blocks; with one CPU or one block they run
+inline.  Module-level functions here may be wrapped by the
+single-threaded tracer in ``perfbench/tracing.py``, so worker threads
+run only nested closures and numpy.  ``numpy.fft`` is reached as
+``np.fft`` at call time: ``import numpy`` does not load it, and a run
+that never needs it never pays for its import.
 
 Segment crossings are pruned by z-slab (a special case of interval
 pruning in sweep-line intersection; Shamos & Hoey 1976, Bentley &
@@ -169,49 +170,22 @@ def _blocks(fn, n_rows: int, row_len: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-# Inputs of at most this many points take the direct sum, longer ones the
-# chirp-z convolution (see the module docstring for why both remain).
-_DIRECT_MAX_IN = 256
-
-
 def propagate_sum(x_out, x_in, values, dx, pref, coef):
-    """Kernel quadrature on uniform grids; deterministic under any threading."""
-    x_out = np.ascontiguousarray(x_out, dtype=np.float64)
-    x_in = np.ascontiguousarray(x_in, dtype=np.float64)
-    values = np.ascontiguousarray(values, dtype=np.complex128)
-    coef = float(coef)
-    if x_in.size > _DIRECT_MAX_IN:
-        return _chirp_z_sum(x_out, x_in, values, dx, pref, coef)
-    out = np.empty(x_out.size, np.complex128)
-
-    def block(s, e):
-        # one complex buffer: d in its real part, coef*d*d in its imaginary
-        w = np.empty((e - s, x_in.size), np.complex128)
-        d, ph = w.real, w.imag
-        np.subtract(x_out[s:e, None], x_in, out=d)
-        np.multiply(coef, d, out=ph)
-        ph *= d
-        d[...] = 0.0
-        np.exp(w, out=w)
-        w *= values
-        w.sum(axis=1, out=out[s:e])
-
-    _blocks(block, x_out.size, x_in.size)
-    return out * (complex(pref) * float(dx))
-
-
-def _chirp_z_sum(x_out, x_in, values, dx, pref, coef):
-    """The same sum by Bluestein's chirp-z transform, for uniform grids.
+    """Kernel quadrature on uniform grids by Bluestein's chirp-z transform.
 
     With xo = mo + p*ho, xi = mi + q*hi (p, q centred indices) and
     p*q = (p^2 + q^2 - (p-q)^2)/2, coef*(xo - xi)^2 splits into a chirp
     on the output, a chirp on the input and g*(p-q)^2, g = coef*ho*hi;
     the last is one FFT convolution of length >= n_in + n_out - 1.
     """
+    x_out = np.ascontiguousarray(x_out, dtype=np.float64)
+    x_in = np.ascontiguousarray(x_in, dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype=np.complex128)
+    coef = float(coef)
     n_in, n_out = x_in.size, x_out.size
     mi = 0.5 * (x_in[0] + x_in[-1])
     mo = 0.5 * (x_out[0] + x_out[-1])
-    hi = (x_in[-1] - x_in[0]) / (n_in - 1)
+    hi = (x_in[-1] - x_in[0]) / (n_in - 1) if n_in > 1 else 0.0
     ho = (x_out[-1] - x_out[0]) / (n_out - 1) if n_out > 1 else 0.0
     g = coef * ho * hi
     q = np.arange(n_in) - 0.5 * (n_in - 1)
@@ -229,6 +203,38 @@ def _chirp_z_sum(x_out, x_in, values, dx, pref, coef):
     a = x_out - mi
     y *= np.exp(1j * (coef * a * a - g * p * p))
     return y * (complex(pref) * float(dx))
+
+
+def mirror_pair_sum(x_out, x_in, values, dx, pref, coef):
+    """Direct kernel sums of a field and of its mirror image, on an output
+    grid with x_out == -x_out[::-1]: returns (out, mirrored), out the sum
+    of (x_in, values) and mirrored that of (-x_in[::-1], values[::-1]),
+    each summed in input order and deterministic under any threading."""
+    x_out = np.ascontiguousarray(x_out, dtype=np.float64)
+    x_in = np.ascontiguousarray(x_in, dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype=np.complex128)
+    coef = float(coef)
+    n_out = x_out.size
+    out = np.empty(n_out, np.complex128)
+    mirrored = np.empty(n_out, np.complex128)
+
+    def block(s, e):
+        # one complex buffer: d in its real part, coef*d*d in its imaginary
+        w = np.empty((e - s, x_in.size), np.complex128)
+        d, ph = w.real, w.imag
+        np.subtract(x_out[s:e, None], x_in, out=d)
+        np.multiply(coef, d, out=ph)
+        ph *= d
+        d[...] = 0.0
+        np.exp(w, out=w)
+        w *= values
+        w.sum(axis=1, out=out[s:e])
+        # mirror row n_out-1-j is row j read right to left
+        w[::-1, ::-1].sum(axis=1, out=mirrored[n_out - e : n_out - s])
+
+    _blocks(block, n_out, x_in.size)
+    scale = complex(pref) * float(dx)
+    return out * scale, mirrored * scale
 
 
 # ---------------------------------------------------------------------------

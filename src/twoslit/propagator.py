@@ -5,11 +5,16 @@ The kernel between transverse points over a flight time T (hbar = 1):
     K(x_b, x_a; T) = sqrt(m / (2 pi i T)) * exp(i m (x_b - x_a)^2 / (2 T))
 
 propagate() realizes the superposition integral by midpoint quadrature
-on the input grid.  Inputs of up to 256 points are summed directly, in a
-fixed order per output point; longer ones (fine detection-disc grids) by
-a chirp-z FFT convolution that equals that sum up to rounding.  Either
-way the result is bit-identical for any thread count and on every run
-(see kernels).  The chirp-z path needs uniform grids, so PlaneField
+on the input grid, as a chirp-z FFT convolution that equals the direct
+sum up to rounding.  propagate_pair() propagates two fields onto one
+grid; when the second is the first's exact mirror image about x = 0 and
+the target grid is symmetric (the slit pair of a source on the axis
+with slits at +-d/2: every shipped config and sweep entry), it takes
+one direct sum, in a fixed order per output point, and reads the mirror
+field from its terms.  The slit fields stay direct because a
+visibility verdict hangs on an exact tie of their screen samples (see
+kernels).  Either way the result is bit-identical for any thread count
+and on every run.  The chirp-z path needs uniform grids, so PlaneField
 rejects an x whose spacing is not dx.
 """
 
@@ -63,6 +68,15 @@ class GridSpec:
 _GRID_RTOL = 1e-9
 
 
+def grid_step_error(x: np.ndarray, dx: float) -> str | None:
+    """Why the points x are not a uniform grid of spacing dx (to
+    _GRID_RTOL of dx), or None when they are."""
+    off = np.abs(np.diff(x) - dx)
+    if np.all(off <= _GRID_RTOL * abs(dx)):
+        return None
+    return f"grid must be uniform with spacing dx={dx!r}; a step is off by {float(np.max(off))!r}"
+
+
 @dataclass(frozen=True)
 class PlaneField:
     """Complex amplitude sampled on a uniform transverse grid at one plane:
@@ -78,11 +92,9 @@ class PlaneField:
             raise InvalidArgumentError("field needs matching, non-empty grid and values")
         if not np.all(np.isfinite(self.values)):
             raise InvalidArgumentError("field values must be finite")
-        off = np.abs(np.diff(self.x) - self.dx)
-        if not np.all(off <= _GRID_RTOL * abs(self.dx)):
-            raise InvalidArgumentError(
-                f"field grid must be uniform with spacing dx={self.dx!r}; a step is off by {float(np.max(off))!r}"
-            )
+        error = grid_step_error(self.x, self.dx)
+        if error is not None:
+            raise InvalidArgumentError(f"field {error}")
 
     @property
     def grid_min(self) -> float:
@@ -108,14 +120,18 @@ def _kernel_prefactor(mass: float, time: float) -> complex:
     return cmath.sqrt(mass / (2.0j * math.pi * time))
 
 
-def point_source_field(source_x: float, target: GridSpec, L: float, particle: Particle) -> PlaneField:
-    """Field a distance L downstream of a point source: one kernel fan."""
+def _flight(L: float, particle: Particle) -> tuple[complex, float]:
+    """Kernel prefactor and phase coefficient m/(2T) over a distance L."""
     if not (L > 0.0):
         raise InvalidArgumentError(f"L must be > 0, got {L}")
-    x, dx = target.points_and_spacing()
     t = L / particle.velocity
-    coef = particle.mass / (2.0 * t)
-    pref = _kernel_prefactor(particle.mass, t)
+    return _kernel_prefactor(particle.mass, t), particle.mass / (2.0 * t)
+
+
+def point_source_field(source_x: float, target: GridSpec, L: float, particle: Particle) -> PlaneField:
+    """Field a distance L downstream of a point source: one kernel fan."""
+    pref, coef = _flight(L, particle)
+    x, dx = target.points_and_spacing()
     d = x - source_x
     values = pref * np.exp(1j * (coef * d * d))
     return PlaneField(z_label=f"z+{L:g}", x=x, values=values, dx=dx)
@@ -123,16 +139,33 @@ def point_source_field(source_x: float, target: GridSpec, L: float, particle: Pa
 
 def propagate(field_in: PlaneField, L: float, particle: Particle, target: GridSpec) -> PlaneField:
     """Midpoint-quadrature kernel propagation onto the target grid."""
-    if not (L > 0.0):
-        raise InvalidArgumentError(f"L must be > 0, got {L}")
-    if field_in.values.size == 0:
-        raise InvalidArgumentError("cannot propagate an empty field")
+    pref, coef = _flight(L, particle)
     x_out, dx_out = target.points_and_spacing()
-    t = L / particle.velocity
-    coef = particle.mass / (2.0 * t)
-    pref = _kernel_prefactor(particle.mass, t)
     out = kernels.propagate_sum(x_out, field_in.x, field_in.values, field_in.dx, pref, coef)
     return PlaneField(z_label=f"{field_in.z_label}+{L:g}", x=x_out, values=out, dx=dx_out)
+
+
+def propagate_pair(
+    field_a: PlaneField, field_b: PlaneField, L: float, particle: Particle, target: GridSpec
+) -> tuple[PlaneField, PlaneField]:
+    """Both fields propagated onto the target grid: one direct pair sum
+    when field_b is field_a's exact mirror image about x = 0 and the
+    target grid is symmetric, else two propagate() calls."""
+    pref, coef = _flight(L, particle)
+    x_out, dx_out = target.points_and_spacing()
+    mirror = (
+        field_b.dx == field_a.dx
+        and np.array_equal(field_b.x, -field_a.x[::-1])
+        and np.array_equal(field_b.values, field_a.values[::-1])
+        and np.array_equal(x_out, -x_out[::-1])
+    )
+    if not mirror:
+        return propagate(field_a, L, particle, target), propagate(field_b, L, particle, target)
+    out_a, out_b = kernels.mirror_pair_sum(x_out, field_a.x, field_a.values, field_a.dx, pref, coef)
+    return tuple(
+        PlaneField(z_label=f"{f.z_label}+{L:g}", x=x_out, values=v, dx=dx_out)
+        for f, v in ((field_a, out_a), (field_b, out_b))
+    )
 
 
 def apply_aperture(field: PlaneField, open_intervals: list[tuple[float, float]]) -> PlaneField:

@@ -21,22 +21,26 @@ kick_reference   |psi_A|^2 + |psi_B|^2 + 2*gamma*Re(psi_A conj(psi_B))
 
 The channels are plain PlaneFields; the detection probability p_det
 weighs them in the mixture.  ChannelSet propagates each field once, in
-order: psi_A and psi_B at the screen; the B stub at the disc (p_det from
-its power, or the override); the trapped A field at the disc, only when
-A's cone reaches it; the stub's screen image (stub_image, also the
-detected channel's no-interference baseline); the detected channel
-propagate(stub + trapped), the stub image itself when nothing is
-trapped.  That is 4 propagations per geometry, 6 when A's cone reaches
-the disc.
+order: psi_A and psi_B at the screen, as one pair; the B stub at the
+disc (p_det from its power, or the override); the trapped A field at
+the disc, only when A's cone reaches it; the stub's screen image
+(stub_image, also the detected channel's no-interference baseline); the
+detected channel propagate(stub + trapped), the stub image itself when
+nothing is trapped.  That is 3 propagations per geometry, 5 when A's
+cone reaches the disc.  Each channel's unit-area intensity is built
+once and shared by the measurements and the mixture.
 
 The disc restriction multiplies by a flat-top window with C-infinity
 edges (support exactly [x_B - rho, x_B + rho]); a hard edge would add
 knife-edge ripples that are artifacts of the restriction, not of the
-model.  All propagation is the midpoint-quadrature kernel sum: a direct
-sum from the slit apertures (psi_A, psi_B, the stub and the trapped
-field) and from disc grids of at most 256 points, a chirp-z convolution
-from finer disc grids (the stub and detected images on desk).  Every
-channel is deterministic to the bit for any thread count.
+model.  All propagation is the midpoint-quadrature kernel sum.  The
+slit pair psi_A, psi_B is one direct sum when the slits mirror each
+other about the source axis (source_x = 0, slits at +-d/2: every
+shipped config and sweep entry), since the kick-reference verdict at
+desk d = rho/2 hangs on an exact tie of its screen samples (see
+kernels); every other propagation, and a pair that is not a mirror
+image, is a chirp-z convolution.  Every channel is deterministic to the
+bit for any thread count.
 """
 
 from __future__ import annotations
@@ -57,7 +61,14 @@ from .apparatus import (
     disc_samples_required,
 )
 from .errors import InvalidArgumentError, InvalidStateError
-from .propagator import GridSpec, PlaneField, point_source_field, propagate, transmitted_power
+from .propagator import (
+    GridSpec,
+    PlaneField,
+    point_source_field,
+    propagate,
+    propagate_pair,
+    transmitted_power,
+)
 
 # Flat fraction of the disc window; the outer 1 - DISC_EDGE_FLAT of each
 # side is the C-infinity bump edge exp(1 - 1/(1 - t^2)).  The flat core
@@ -121,6 +132,22 @@ def _disc_grid(apparatus: Apparatus, detector: DetectorConfig, particle: Particl
     n = min(max(disc_samples_required(apparatus, detector, particle), DISC_N_MIN), DISC_N_MAX)
     x_b, rho = apparatus.slit_B_center, detector.radius_rho
     return GridSpec(x_b - rho, x_b + rho, n, cell_centered=True)
+
+
+def sampled_grids(
+    apparatus: Apparatus, detector: DetectorConfig, particle: Particle
+) -> list[tuple[str, str, GridSpec]]:
+    """(config key, name, grid) of every grid a run of this geometry
+    samples: the slit apertures, the screen and, with the detector on,
+    the disc."""
+    grids = [
+        ("apparatus.slit_A_center", "slit A aperture", _aperture_grid(apparatus, apparatus.slit_A_interval)),
+        ("apparatus.slit_B_center", "slit B aperture", _aperture_grid(apparatus, apparatus.slit_B_interval)),
+        ("apparatus.screen_samples", "screen", screen_grid(apparatus)),
+    ]
+    if detector.enabled and detector.depth_epsilon < apparatus.L2:
+        grids.append(("detector.radius_rho", "detection-disc", _disc_grid(apparatus, detector, particle)))
+    return grids
 
 
 def _require_detector(apparatus: Apparatus, detector: DetectorConfig) -> None:
@@ -199,22 +226,25 @@ class ChannelSet:
 
     def __init__(self, apparatus: Apparatus, detector: DetectorConfig, particle: Particle):
         self.apparatus, self.detector, self.particle = apparatus, detector, particle
-
-    def _slit_to_screen(self, slit: str) -> PlaneField:
-        app, part = self.apparatus, self.particle
-        return propagate(barrier_field(app, part, slit), app.L2, part, screen_grid(app))
+        self._unit_intensities: dict[int, IntensityProfile] = {}  # by id of a kept field
 
     def _disc_to_screen(self, source: PlaneField) -> PlaneField:
         app = self.apparatus
         return propagate(source, app.L2 - self.detector.depth_epsilon, self.particle, screen_grid(app))
 
     @cached_property
-    def psi_a(self) -> PlaneField:
-        return self._slit_to_screen("A")
+    def _psi_pair(self) -> tuple[PlaneField, PlaneField]:
+        app, part = self.apparatus, self.particle
+        fields = (barrier_field(app, part, slit) for slit in "AB")
+        return propagate_pair(*fields, app.L2, part, screen_grid(app))
 
-    @cached_property
+    @property
+    def psi_a(self) -> PlaneField:
+        return self._psi_pair[0]
+
+    @property
     def psi_b(self) -> PlaneField:
-        return self._slit_to_screen("B")
+        return self._psi_pair[1]
 
     @cached_property
     def stub(self) -> PlaneField:
@@ -269,9 +299,19 @@ class ChannelSet:
         both = PlaneField(src.z_label, src.x, src.values + self.trapped.values, src.dx)
         return self._disc_to_screen(both)
 
+    def unit_intensity(self, name: str) -> IntensityProfile:
+        """Unit-area intensity of the named field ("null", "detected",
+        "psi_a", ...), built once per field: null is psi_a itself when
+        the crossing window misses the screen, and detected the stub
+        image when nothing is trapped."""
+        field = getattr(self, name)
+        if id(field) not in self._unit_intensities:
+            self._unit_intensities[id(field)] = intensity(field)
+        return self._unit_intensities[id(field)]
+
     @cached_property
     def combined(self) -> IntensityProfile:
-        return combined_intensity(self.null, self.detected, self.p_det)
+        return _mixture(self.unit_intensity("null"), self.unit_intensity("detected"), self.p_det)
 
     @cached_property
     def kick_reference(self) -> IntensityProfile:
@@ -296,16 +336,20 @@ def detection_probability(
 
 def combined_intensity(null: PlaneField, det: PlaneField, p_det: float) -> IntensityProfile:
     """Convex mixture of the unit-area channel intensities."""
+    return _mixture(intensity(null), intensity(det), p_det)
+
+
+def _mixture(i_null: IntensityProfile, i_det: IntensityProfile, p_det: float) -> IntensityProfile:
     if not (0.0 <= p_det <= 1.0):
         raise InvalidArgumentError(f"p_det must lie in [0,1], got {p_det}")
-    if null.x.size != det.x.size or not np.array_equal(null.x, det.x):
+    if i_null.x.size != i_det.x.size or not np.array_equal(i_null.x, i_det.x):
         raise InvalidArgumentError("null and detected channels are on different grids")
     if p_det == 0.0:
-        return intensity(null)
+        return i_null
     if p_det == 1.0:
-        return intensity(det)
-    vals = (1.0 - p_det) * intensity(null).values + p_det * intensity(det).values
-    return IntensityProfile(x=null.x, values=vals, dx=null.dx, normalized=True)
+        return i_det
+    vals = (1.0 - p_det) * i_null.values + p_det * i_det.values
+    return IntensityProfile(x=i_null.x, values=vals, dx=i_null.dx, normalized=True)
 
 
 def kick_visibility_factor(d: float, photon_wavelength: float) -> float:

@@ -65,3 +65,18 @@ def kernel_workers(request, monkeypatch):
         sys.setswitchinterval(interval)
         if kernels._POOL is not None:
             kernels._POOL.shutdown()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Names of the propagation kernels called, in order."""
+    calls = []
+    for name in ("mirror_pair_sum", "propagate_sum"):
+        real = getattr(kernels, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    return calls

@@ -309,17 +309,42 @@ NARROW_WINDOWS = {
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
-def test_narrow_window_fails_before_any_propagation(command, tmp_path: Path, capsys, monkeypatch):
-    calls = []
-    propagate_sum = kernels.propagate_sum
-    monkeypatch.setattr(kernels, "propagate_sum", lambda *a: calls.append(a) or propagate_sum(*a))
+def test_narrow_window_fails_before_any_propagation(command, tmp_path: Path, capsys, kernel_calls):
     for key, change in NARROW_WINDOWS.items():
         cfg = _desk_variant(tmp_path, "analysis", **change)
         out = tmp_path / "never"
         assert main([command, "--config", cfg, "--out", str(out)]) == 3, key
         assert f"analysis.{key}" in capsys.readouterr().err
-        assert calls == [], key
+        assert kernel_calls == [], key
         assert not out.exists(), key
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_off_axis_grid_fails_before_any_propagation(command, tmp_path: Path, capsys, kernel_calls):
+    # Golden moved 2e7 bohr off axis with a 0.3 bohr slit: rounding at
+    # that magnitude spaces the 32 aperture points unevenly.
+    root = json.loads(Path(OK).read_text())
+    shift = 2e7
+    for key in ("source_x", "slit_A_center", "slit_B_center", "screen_min", "screen_max"):
+        root["apparatus"][key] += shift
+    root["apparatus"]["slit_width"] = 0.3
+    root["analysis"]["central_window"] = [x + shift for x in root["analysis"]["central_window"]]
+    cfg = tmp_path / "golden_off_axis.json"
+    cfg.write_text(json.dumps(root), encoding="utf-8")
+    out = tmp_path / "never"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "apparatus.slit_A_center: the slit A aperture grid must be uniform" in err
+    assert kernel_calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_one_point_apertures_run(command, tmp_path: Path):
+    # One aperture point per slit: the disc captures are chirp-z sums of
+    # a one-point input.
+    cfg = _desk_variant(tmp_path, "apparatus", aperture_samples=1)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 0
 
 
 def test_narrow_local_window_is_ignored_without_detector(tmp_path: Path):

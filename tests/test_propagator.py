@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 from concurrent.futures import Future
 from pathlib import Path
@@ -23,7 +24,10 @@ from twoslit.propagator import (
 )
 from twoslit.scenario import ChannelSet, barrier_field
 
-DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+REPO = Path(__file__).resolve().parents[1]
+DESK = REPO / "configs" / "desk.json"
+PAPER = REPO / "configs" / "paper.json"
+GOLDEN = REPO / "tests" / "data" / "golden_ok.json"
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -170,7 +174,7 @@ def test_plane_field_rejects_non_uniform_grid():
 
 
 def _propagate_sum_oracle(x_out, x_in, values, dx, pref, coef):
-    """The single-chunk direct sum: the row-blocked direct path must reproduce
+    """The single-chunk direct sum: the row-blocked pair sum must reproduce
     it bit for bit, the chirp-z path within rounding."""
     d = x_out[:, None] - x_in[None, :]
     ph = coef * d * d
@@ -183,25 +187,26 @@ def _propagate_sum_oracle(x_out, x_in, values, dx, pref, coef):
         (kernels._BLOCK + 37, 3),  # one row per block, rows longer than a block
         (1000, 3 * (kernels._BLOCK // 1000) + 7),  # ragged last block
         (500, 1),  # a single row
-        (kernels._DIRECT_MAX_IN, 3 * (kernels._BLOCK // kernels._DIRECT_MAX_IN) + 7),  # ragged, as routed
-        (kernels._DIRECT_MAX_IN, 1),  # a single row, as routed
+        (256, 3 * (kernels._BLOCK // 256) + 7),  # ragged last block, 256-point rows
+        (256, 1),  # a single row of 256 points
         (64, 993),  # fewer rows than one block holds, split across the workers
+        (64, 4096),  # a desk slit pair: four full blocks
     ],
 )
-def test_propagate_sum_matches_direct_sum_bit_for_bit(kernel_workers, monkeypatch, n_in, n_out):
-    # The direct path, bit for bit.  Inputs above the routing bound would
-    # take the chirp-z path, so the bound is raised for them: only then
-    # can a row be longer than a block.
-    monkeypatch.setattr(kernels, "_DIRECT_MAX_IN", max(n_in, kernels._DIRECT_MAX_IN))
+def test_propagate_sum_matches_direct_sum_bit_for_bit(kernel_workers, n_in, n_out):
+    # Both outputs of the mirror pair kernel equal the direct sum of their
+    # own field, bit for bit: the field as given and its mirror image.
     rng = np.random.default_rng(n_in * 7919 + n_out)
     x_in = rng.uniform(-50.0, 0.0) + rng.uniform(0.01, 0.1) * np.arange(n_in)
-    x_out = rng.uniform(-5e3, 0.0) + rng.uniform(1.0, 20.0) * np.arange(n_out)
+    x_out = rng.uniform(1.0, 20.0) * (np.arange(n_out) - 0.5 * (n_out - 1))
+    assert np.array_equal(x_out, -x_out[::-1])
     values = rng.normal(size=n_in) + 1j * rng.normal(size=n_in)
     dx, pref, coef = 0.05, complex(rng.normal(), rng.normal()), rng.uniform(0.01, 2.0)
-    got = kernels.propagate_sum(x_out, x_in, values, dx, pref, coef)
-    want = _propagate_sum_oracle(x_out, x_in, values, dx, pref, coef)
-    assert got.dtype == want.dtype == np.complex128
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    got, mirrored = kernels.mirror_pair_sum(x_out, x_in, values, dx, pref, coef)
+    for out, (xs, vs) in ((got, (x_in, values)), (mirrored, (-x_in[::-1], values[::-1]))):
+        want = _propagate_sum_oracle(x_out, xs, vs, dx, pref, coef)
+        assert out.dtype == want.dtype == np.complex128
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
 class _InlinePool:
@@ -238,7 +243,7 @@ def test_blocks_tile_rows_with_a_block_per_worker(n_rows, row_len, workers):
 
 
 @given(
-    n_in=st.integers(kernels._DIRECT_MAX_IN + 1, 1500),
+    n_in=st.integers(1, 1500),
     n_out=st.integers(1, 1500),
     c_in=st.floats(-1e3, 1e3),
     c_out=st.floats(-1e4, 1e4),
@@ -247,21 +252,24 @@ def test_blocks_tile_rows_with_a_block_per_worker(n_rows, row_len, workers):
     max_phase=st.floats(0.0, 1e3),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n_in=kernels._DIRECT_MAX_IN + 1, n_out=4096, c_in=250.0, c_out=0.0, w_in=20.0, w_out=2e5,
-         max_phase=1e3, seed=0)
-@example(n_in=kernels._DIRECT_MAX_IN + 1, n_out=1, c_in=-3.0, c_out=7.0, w_in=5.0, w_out=1.0,
-         max_phase=500.0, seed=1)
+@example(n_in=257, n_out=4096, c_in=250.0, c_out=0.0, w_in=20.0, w_out=2e5, max_phase=1e3, seed=0)
+@example(n_in=257, n_out=1, c_in=-3.0, c_out=7.0, w_in=5.0, w_out=1.0, max_phase=500.0, seed=1)
+@example(n_in=64, n_out=993, c_in=10.0, c_out=10.0, w_in=0.5, w_out=20.0, max_phase=1e3, seed=3)
+@example(n_in=1, n_out=128, c_in=10.0, c_out=10.0, w_in=0.5, w_out=20.0, max_phase=1e3, seed=4)
+@example(n_in=1, n_out=1, c_in=-3.0, c_out=7.0, w_in=5.0, w_out=1.0, max_phase=500.0, seed=5)
+@example(n_in=1, n_out=1, c_in=0.0, c_out=0.0, w_in=1.0, w_out=1.0, max_phase=0.0, seed=0)
 @example(n_in=1500, n_out=2, c_in=0.0, c_out=-40.0, w_in=100.0, w_out=10.0, max_phase=1e3, seed=2)
 def test_chirp_z_sum_matches_direct_sum(n_in, n_out, c_in, c_out, w_in, w_out, max_phase, seed):
-    # Uniform grids as the program builds them; coef scaled so that no
-    # phase exceeds max_phase, where the direct sum is itself accurate.
+    # Uniform grids as the program builds them, from one input point up;
+    # coef scaled so that no phase exceeds max_phase, where the direct sum
+    # is itself accurate.
     x_in, dx = GridSpec(c_in - w_in, c_in + w_in, n_in, cell_centered=True).points_and_spacing()
     if n_out == 1:
         x_out = np.array([c_out])
     else:
         x_out, _ = GridSpec(c_out - w_out, c_out + w_out, n_out).points_and_spacing()
     reach = max(abs(x_out[0] - x_in[-1]), abs(x_out[-1] - x_in[0]))
-    coef = max_phase / reach**2
+    coef = max_phase / reach**2 if reach > 0.0 else 0.0  # one input point on the one output
     rng = np.random.default_rng(seed)
     values = rng.normal(size=n_in) + 1j * rng.normal(size=n_in)
     pref = complex(rng.normal(), rng.normal())
@@ -271,17 +279,53 @@ def test_chirp_z_sum_matches_direct_sum(n_in, n_out, c_in, c_out, w_in, w_out, m
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
+SHIPPED = [DESK, PAPER, GOLDEN]
+
+
+def _geometries(path):
+    """The config's own geometry, then one per sweep entry."""
+    cfg = load_config(path)
+    apps = [cfg.apparatus] + [cfg.apparatus.with_slit_separation(d) for d in cfg.sweep_d_values]
+    return cfg, apps
+
+
 def test_desk_aperture_fields_stay_on_the_direct_sum():
     # psi_A and psi_B feed the d = 10 kick-reference verdict, which hangs
     # on an exact tie of two screen samples; they must stay bit-equal to
-    # the direct sum.
+    # the direct sum at every desk and paper sweep entry.
+    for path in (DESK, PAPER):
+        cfg, apps = _geometries(path)
+        t = cfg.apparatus.L2 / cfg.particle.velocity
+        coef = cfg.particle.mass / (2.0 * t)
+        pref = cmath.sqrt(cfg.particle.mass / (2.0j * math.pi * t))
+        for app in apps[1:]:
+            cs = ChannelSet(app, cfg.detector, cfg.particle)
+            for slit, psi in (("A", cs.psi_a), ("B", cs.psi_b)):
+                f = barrier_field(app, cfg.particle, slit)
+                want = _propagate_sum_oracle(psi.x, f.x, f.values, f.dx, pref, coef)
+                where = (path.name, app.slit_separation, slit)
+                assert np.array_equal(psi.values.view(np.uint64), want.view(np.uint64)), where
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=["desk", "paper", "golden"])
+def test_every_shipped_slit_pair_takes_the_pair_sum(path, kernel_calls):
+    cfg, apps = _geometries(path)
+    for app in apps:
+        kernel_calls.clear()
+        ChannelSet(app, cfg.detector, cfg.particle).psi_b
+        assert kernel_calls == ["mirror_pair_sum"], app.slit_separation
+
+
+def test_offset_source_falls_back_to_two_chirp_z_sums(kernel_calls):
     cfg = load_config(DESK)
-    cs = ChannelSet(cfg.apparatus.with_slit_separation(10.0), cfg.detector, cfg.particle)
-    t = cfg.apparatus.L2 / cfg.particle.velocity
+    app = dataclasses.replace(cfg.apparatus, source_x=3.0)
+    cs = ChannelSet(app, cfg.detector, cfg.particle)
+    psi = (cs.psi_a, cs.psi_b)
+    assert kernel_calls == ["propagate_sum", "propagate_sum"]
+    t = app.L2 / cfg.particle.velocity
     coef = cfg.particle.mass / (2.0 * t)
     pref = cmath.sqrt(cfg.particle.mass / (2.0j * math.pi * t))
-    for slit, psi in (("A", cs.psi_a), ("B", cs.psi_b)):
-        f = barrier_field(cs.apparatus, cfg.particle, slit)
-        assert f.x.size <= kernels._DIRECT_MAX_IN
-        want = _propagate_sum_oracle(psi.x, f.x, f.values, f.dx, pref, coef)
-        assert np.array_equal(psi.values.view(np.uint64), want.view(np.uint64)), slit
+    for slit, got in zip("AB", psi):
+        f = barrier_field(app, cfg.particle, slit)
+        want = _propagate_sum_oracle(got.x, f.x, f.values, f.dx, pref, coef)
+        assert np.max(np.abs(got.values - want)) <= 1e-9 * np.max(np.abs(want)), slit
