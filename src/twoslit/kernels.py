@@ -10,31 +10,21 @@ Propagation is Bluestein's chirp-z transform (Rabiner, Schafer & Rader
 convolution of length >= n_in + n_out - 1, equal to the direct sum up to
 rounding (3e-11 of the peak on desk's 993 -> 4096 propagations).
 pocketfft is single-threaded and runs the same operations on every call,
-so these bytes depend on neither the worker count nor the run.  One sum
-stays direct: the mirror slit pair, psi_A and psi_B of a source on the
-axis with slits at +-d/2.  The visibility extrema search treats two
-exactly equal screen samples as no maximum, and at desk d = rho/2 the
-kick-reference pattern's verdict hangs on such a tie, which only the
-direct sum's rounding reproduces.  The pair pays for one sum, not two:
-negation is exact, so each term of the mirror image at (j, i) is
-bit-equal to a term of the sum at (n_out-1-j, n_in-1-i), and the mirror
-output is the term matrix read backwards in both axes.  The direct path
-goes once that search is plateau-aware.
+so these bytes depend on neither the worker count nor the run.  Two
+screen samples of the mirror slit pair (psi_A, psi_B of a source on the
+axis with slits at +-d/2, on an even screen grid) are direct sums: the
+pair next to x = 0, equal in exact arithmetic.  The visibility extrema
+search treats two exactly equal samples as no maximum, and at desk
+d = rho/2 the kick-reference verdict hangs on their last-ulp rounding,
+which the direct sum reproduces.  Those sums go once that search is
+plateau-aware.
 
-The pair sum and the Monte Carlo phase sum work in row blocks of at
-most 2^16 elements: a block of output rows of the propagation, a block
-of paths of the phase sum.  A direct block holds one complex buffer
-(1 MiB when full, inside a 2 MiB per-core L2 cache): the distances go in
-its real part, the phases coef*d*d in its imaginary part, with the same
-roundings, and it is exponentiated in place; its mirror rows are summed
-from a reversed view of the same buffer, not from a copy.  A sum that
-makes fewer blocks than there are workers is split into equal blocks,
-one per worker (one per row if the rows are fewer).  Each output element
-is a reduction over one row, of fixed length and order, whatever block
-holds the row, so the bytes depend on neither the split nor the worker
-count nor the scheduling.  Blocks write disjoint slices of the outputs
-and numpy releases the GIL in their loops, so they run on one thread
-pool sized from the CPU affinity of the process
+The Monte Carlo phase sum works in blocks of paths of at most 2^16
+elements.  Each output element is a reduction over one row, of fixed
+length and order, whatever block holds the row, so the bytes depend on
+neither the worker count nor the scheduling.  Blocks write disjoint
+slices of the output and numpy releases the GIL in their loops, so they
+run on one thread pool sized from the CPU affinity of the process
 (``os.sched_getaffinity``, else ``os.cpu_count()``), created on the
 first call with several blocks; with one CPU or one block they run
 inline.  Module-level functions here may be wrapped by the
@@ -143,15 +133,11 @@ _POOL_LOCK = threading.Lock()
 
 def _blocks(fn, n_rows: int, row_len: int) -> None:
     """Call fn(s, e) once per block of rows s..e-1 covering range(n_rows)
-    in order, with at most _BLOCK elements (or one row) per block and at
-    least min(n_rows, _WORKERS) blocks; on the pool when there are
-    several blocks and several workers."""
+    in order, with at most _BLOCK elements (or one row) per block; on
+    the pool when there are several blocks and several workers."""
     global _POOL
     step = max(1, _BLOCK // max(row_len, 1))
     spans = [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
-    n = min(n_rows, _WORKERS)
-    if len(spans) < n:  # too few blocks for the pool: n equal ones instead
-        spans = [(k * n_rows // n, (k + 1) * n_rows // n) for k in range(n)]
     if len(spans) < 2 or _WORKERS < 2:
         for s, e in spans:
             fn(s, e)
@@ -205,36 +191,11 @@ def propagate_sum(x_out, x_in, values, dx, pref, coef):
     return y * (complex(pref) * float(dx))
 
 
-def mirror_pair_sum(x_out, x_in, values, dx, pref, coef):
-    """Direct kernel sums of a field and of its mirror image, on an output
-    grid with x_out == -x_out[::-1]: returns (out, mirrored), out the sum
-    of (x_in, values) and mirrored that of (-x_in[::-1], values[::-1]),
-    each summed in input order and deterministic under any threading."""
-    x_out = np.ascontiguousarray(x_out, dtype=np.float64)
-    x_in = np.ascontiguousarray(x_in, dtype=np.float64)
-    values = np.ascontiguousarray(values, dtype=np.complex128)
-    coef = float(coef)
-    n_out = x_out.size
-    out = np.empty(n_out, np.complex128)
-    mirrored = np.empty(n_out, np.complex128)
-
-    def block(s, e):
-        # one complex buffer: d in its real part, coef*d*d in its imaginary
-        w = np.empty((e - s, x_in.size), np.complex128)
-        d, ph = w.real, w.imag
-        np.subtract(x_out[s:e, None], x_in, out=d)
-        np.multiply(coef, d, out=ph)
-        ph *= d
-        d[...] = 0.0
-        np.exp(w, out=w)
-        w *= values
-        w.sum(axis=1, out=out[s:e])
-        # mirror row n_out-1-j is row j read right to left
-        w[::-1, ::-1].sum(axis=1, out=mirrored[n_out - e : n_out - s])
-
-    _blocks(block, n_out, x_in.size)
-    scale = complex(pref) * float(dx)
-    return out * scale, mirrored * scale
+def direct_sum(x_out, x_in, values, dx, pref, coef):
+    """The same quadrature as a direct sum, each output point's terms
+    added in input order: for the few points whose last bits matter."""
+    d = np.subtract.outer(np.asarray(x_out, np.float64), np.asarray(x_in, np.float64))
+    return (np.exp(1j * (float(coef) * d * d)) * values).sum(axis=1) * (complex(pref) * float(dx))
 
 
 # ---------------------------------------------------------------------------

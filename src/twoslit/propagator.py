@@ -9,10 +9,10 @@ on the input grid, as a chirp-z FFT convolution that equals the direct
 sum up to rounding.  propagate_pair() propagates two fields onto one
 grid; when the second is the first's exact mirror image about x = 0 and
 the target grid is symmetric (the slit pair of a source on the axis
-with slits at +-d/2: every shipped config and sweep entry), it takes
-one direct sum, in a fixed order per output point, and reads the mirror
-field from its terms.  The slit fields stay direct because a
-visibility verdict hangs on an exact tie of their screen samples (see
+with slits at +-d/2: every shipped config and sweep entry), it makes one
+chirp-z sum and reads the mirror field backwards.  On an even grid the
+two samples next to x = 0 of each field are then replaced by direct
+sums, because a visibility verdict hangs on their exact tie (see
 kernels).  Either way the result is bit-identical for any thread count
 and on every run.  The chirp-z path needs uniform grids, so PlaneField
 rejects an x whose spacing is not dx.
@@ -148,9 +148,11 @@ def propagate(field_in: PlaneField, L: float, particle: Particle, target: GridSp
 def propagate_pair(
     field_a: PlaneField, field_b: PlaneField, L: float, particle: Particle, target: GridSpec
 ) -> tuple[PlaneField, PlaneField]:
-    """Both fields propagated onto the target grid: one direct pair sum
-    when field_b is field_a's exact mirror image about x = 0 and the
-    target grid is symmetric, else two propagate() calls."""
+    """Both fields propagated onto the target grid.  When field_b is
+    field_a's exact mirror image about x = 0 and the target grid is
+    symmetric, field_b's result is field_a's read backwards, except
+    that on an even grid the two samples next to x = 0 of each are
+    direct sums; else two propagate() calls."""
     pref, coef = _flight(L, particle)
     x_out, dx_out = target.points_and_spacing()
     mirror = (
@@ -161,7 +163,13 @@ def propagate_pair(
     )
     if not mirror:
         return propagate(field_a, L, particle, target), propagate(field_b, L, particle, target)
-    out_a, out_b = kernels.mirror_pair_sum(x_out, field_a.x, field_a.values, field_a.dx, pref, coef)
+    out_a = kernels.propagate_sum(x_out, field_a.x, field_a.values, field_a.dx, pref, coef)
+    out_b = out_a[::-1].copy()
+    n = x_out.size
+    if n % 2 == 0:  # equal in exact arithmetic; their rounding decides a central maximum
+        centre = slice(n // 2 - 1, n // 2 + 1)
+        for f, out in ((field_a, out_a), (field_b, out_b)):
+            out[centre] = kernels.direct_sum(x_out[centre], f.x, f.values, f.dx, pref, coef)
     return tuple(
         PlaneField(z_label=f"{f.z_label}+{L:g}", x=x_out, values=v, dx=dx_out)
         for f, v in ((field_a, out_a), (field_b, out_b))

@@ -33,14 +33,13 @@ once and shared by the measurements and the mixture.
 The disc restriction multiplies by a flat-top window with C-infinity
 edges (support exactly [x_B - rho, x_B + rho]); a hard edge would add
 knife-edge ripples that are artifacts of the restriction, not of the
-model.  All propagation is the midpoint-quadrature kernel sum.  The
-slit pair psi_A, psi_B is one direct sum when the slits mirror each
-other about the source axis (source_x = 0, slits at +-d/2: every
-shipped config and sweep entry), since the kick-reference verdict at
-desk d = rho/2 hangs on an exact tie of its screen samples (see
-kernels); every other propagation, and a pair that is not a mirror
-image, is a chirp-z convolution.  Every channel is deterministic to the
-bit for any thread count.
+model.  All propagation is the midpoint-quadrature kernel sum, as a
+chirp-z convolution.  When the slits mirror each other about the source
+axis (source_x = 0, slits at +-d/2: every shipped config and sweep
+entry), psi_B is psi_A read backwards, but for the two screen samples
+next to x = 0, which are direct sums since the kick-reference verdict
+at desk d = rho/2 hangs on their exact tie (see kernels).  Every
+channel is deterministic to the bit for any thread count.
 """
 
 from __future__ import annotations

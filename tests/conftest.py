@@ -71,7 +71,7 @@ def kernel_workers(request, monkeypatch):
 def kernel_calls(monkeypatch):
     """Names of the propagation kernels called, in order."""
     calls = []
-    for name in ("mirror_pair_sum", "propagate_sum"):
+    for name in ("direct_sum", "propagate_sum"):
         real = getattr(kernels, name)
 
         def counted(*args, _name=name, _real=real):

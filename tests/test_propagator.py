@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import json
 import math
 from concurrent.futures import Future
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from twoslit import kernels
 from twoslit.apparatus import make_particle
+from twoslit.cli import main
 from twoslit.config import load_config
 from twoslit.errors import InvalidArgumentError
 from twoslit.propagator import (
@@ -174,8 +176,8 @@ def test_plane_field_rejects_non_uniform_grid():
 
 
 def _propagate_sum_oracle(x_out, x_in, values, dx, pref, coef):
-    """The single-chunk direct sum: the row-blocked pair sum must reproduce
-    it bit for bit, the chirp-z path within rounding."""
+    """The direct sum of the whole term matrix: kernels.direct_sum must
+    reproduce its rows bit for bit, the chirp-z path within rounding."""
     d = x_out[:, None] - x_in[None, :]
     ph = coef * d * d
     return (np.exp(1j * ph) * values[None, :]).sum(axis=1) * (complex(pref) * float(dx))
@@ -184,29 +186,32 @@ def _propagate_sum_oracle(x_out, x_in, values, dx, pref, coef):
 @pytest.mark.parametrize(
     "n_in, n_out",
     [
-        (kernels._BLOCK + 37, 3),  # one row per block, rows longer than a block
-        (1000, 3 * (kernels._BLOCK // 1000) + 7),  # ragged last block
+        (kernels._BLOCK + 37, 3),  # long rows, odd output grid
+        (1000, 3 * (kernels._BLOCK // 1000) + 7),
         (500, 1),  # a single row
-        (256, 3 * (kernels._BLOCK // 256) + 7),  # ragged last block, 256-point rows
+        (256, 3 * (kernels._BLOCK // 256) + 7),
         (256, 1),  # a single row of 256 points
-        (64, 993),  # fewer rows than one block holds, split across the workers
-        (64, 4096),  # a desk slit pair: four full blocks
+        (64, 993),
+        (64, 4096),  # a desk slit pair
     ],
 )
 def test_propagate_sum_matches_direct_sum_bit_for_bit(kernel_workers, n_in, n_out):
-    # Both outputs of the mirror pair kernel equal the direct sum of their
-    # own field, bit for bit: the field as given and its mirror image.
+    # The centre direct sum of a field and of its mirror image equals the
+    # oracle's rows bit for bit, with any worker count: a row summed on
+    # its own is the same row of the whole term matrix.
     rng = np.random.default_rng(n_in * 7919 + n_out)
     x_in = rng.uniform(-50.0, 0.0) + rng.uniform(0.01, 0.1) * np.arange(n_in)
     x_out = rng.uniform(1.0, 20.0) * (np.arange(n_out) - 0.5 * (n_out - 1))
     assert np.array_equal(x_out, -x_out[::-1])
     values = rng.normal(size=n_in) + 1j * rng.normal(size=n_in)
     dx, pref, coef = 0.05, complex(rng.normal(), rng.normal()), rng.uniform(0.01, 2.0)
-    got, mirrored = kernels.mirror_pair_sum(x_out, x_in, values, dx, pref, coef)
-    for out, (xs, vs) in ((got, (x_in, values)), (mirrored, (-x_in[::-1], values[::-1]))):
+    centre = slice(max(n_out // 2 - 1, 0), n_out // 2 + 1)
+    for xs, vs in ((x_in, values), (-x_in[::-1], values[::-1])):
         want = _propagate_sum_oracle(x_out, xs, vs, dx, pref, coef)
-        assert out.dtype == want.dtype == np.complex128
-        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+        for rows in (centre, slice(None)):
+            got = kernels.direct_sum(x_out[rows], xs, vs, dx, pref, coef)
+            assert got.dtype == want.dtype == np.complex128
+            assert np.array_equal(got.view(np.uint64), want[rows].view(np.uint64))
 
 
 class _InlinePool:
@@ -223,8 +228,8 @@ class _InlinePool:
     row_len=st.integers(1, 2 * kernels._BLOCK),
     workers=st.integers(1, 9),
 )
-@example(n_rows=993, row_len=64, workers=2)  # a desk disc capture
-@example(n_rows=4096, row_len=64, workers=2)  # a desk aperture field: four full blocks
+@example(n_rows=993, row_len=64, workers=2)
+@example(n_rows=4096, row_len=64, workers=2)
 @example(n_rows=5, row_len=1, workers=4)
 @example(n_rows=3, row_len=kernels._BLOCK + 1, workers=8)
 def test_blocks_tile_rows_with_a_block_per_worker(n_rows, row_len, workers):
@@ -237,7 +242,6 @@ def test_blocks_tile_rows_with_a_block_per_worker(n_rows, row_len, workers):
     ends = [0] + [e for _, e in spans]
     assert [s for s, _ in spans] == ends[:-1] and ends[-1] == n_rows  # in order, no gap or overlap
     assert all(0 < e - s <= step for s, e in spans)
-    assert len(spans) >= min(n_rows, workers)
     if workers == 1:
         assert spans == [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
 
@@ -289,31 +293,58 @@ def _geometries(path):
     return cfg, apps
 
 
-def test_desk_aperture_fields_stay_on_the_direct_sum():
-    # psi_A and psi_B feed the d = 10 kick-reference verdict, which hangs
-    # on an exact tie of two screen samples; they must stay bit-equal to
-    # the direct sum at every desk and paper sweep entry.
-    for path in (DESK, PAPER):
+def _slit_oracle(cfg, app, slit, x_out):
+    """The direct sum of one slit's aperture field onto the screen points."""
+    t = app.L2 / cfg.particle.velocity
+    pref = cmath.sqrt(cfg.particle.mass / (2.0j * math.pi * t))
+    f = barrier_field(app, cfg.particle, slit)
+    return _propagate_sum_oracle(x_out, f.x, f.values, f.dx, pref, cfg.particle.mass / (2.0 * t))
+
+
+def test_slit_pair_centre_stays_on_the_direct_sum():
+    # The two screen samples next to x = 0 decide whether the kick
+    # reference has a central maximum (the d = 10 tie): they stay the
+    # direct sum bit for bit, and psi_B is psi_A read backwards elsewhere.
+    for path in SHIPPED:
         cfg, apps = _geometries(path)
-        t = cfg.apparatus.L2 / cfg.particle.velocity
-        coef = cfg.particle.mass / (2.0 * t)
-        pref = cmath.sqrt(cfg.particle.mass / (2.0j * math.pi * t))
-        for app in apps[1:]:
+        for app in apps:
             cs = ChannelSet(app, cfg.detector, cfg.particle)
+            n = cs.psi_a.x.size
+            centre = np.zeros(n, bool)
+            centre[n // 2 - 1 : n // 2 + 1] = True
             for slit, psi in (("A", cs.psi_a), ("B", cs.psi_b)):
-                f = barrier_field(app, cfg.particle, slit)
-                want = _propagate_sum_oracle(psi.x, f.x, f.values, f.dx, pref, coef)
+                want = _slit_oracle(cfg, app, slit, psi.x)
                 where = (path.name, app.slit_separation, slit)
-                assert np.array_equal(psi.values.view(np.uint64), want.view(np.uint64)), where
+                assert np.array_equal(psi.values[centre].view(np.uint64), want[centre].view(np.uint64)), where
+                assert np.max(np.abs(psi.values - want)) <= 1e-9 * np.max(np.abs(want)), where
+            mirrored = cs.psi_a.values[::-1]
+            assert np.array_equal(cs.psi_b.values[~centre], mirrored[~centre]), (path.name, app.slit_separation)
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=["desk", "paper", "golden"])
 def test_every_shipped_slit_pair_takes_the_pair_sum(path, kernel_calls):
+    # One chirp-z sum per pair, then the two centre samples of each field.
     cfg, apps = _geometries(path)
     for app in apps:
         kernel_calls.clear()
         ChannelSet(app, cfg.detector, cfg.particle).psi_b
-        assert kernel_calls == ["mirror_pair_sum"], app.slit_separation
+        assert kernel_calls == ["propagate_sum", "direct_sum", "direct_sum"], app.slit_separation
+
+
+def test_odd_screen_grid_takes_no_centre_patch(tmp_path, kernel_calls):
+    # An odd grid has a sample at x = 0 and no adjacent pair tied in
+    # exact arithmetic, so nothing is summed directly.
+    root = json.loads(DESK.read_text())
+    root["apparatus"]["screen_samples"] = 4095
+    config = tmp_path / "desk_odd.json"
+    config.write_text(json.dumps(root), encoding="utf-8")
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    assert "direct_sum" not in kernel_calls
+    cfg = load_config(config)
+    cs = ChannelSet(cfg.apparatus, cfg.detector, cfg.particle)
+    for slit, psi in (("A", cs.psi_a), ("B", cs.psi_b)):
+        want = _slit_oracle(cfg, cfg.apparatus, slit, psi.x)
+        assert np.max(np.abs(psi.values - want)) <= 1e-9 * np.max(np.abs(want)), slit
 
 
 def test_offset_source_falls_back_to_two_chirp_z_sums(kernel_calls):
@@ -322,10 +353,6 @@ def test_offset_source_falls_back_to_two_chirp_z_sums(kernel_calls):
     cs = ChannelSet(app, cfg.detector, cfg.particle)
     psi = (cs.psi_a, cs.psi_b)
     assert kernel_calls == ["propagate_sum", "propagate_sum"]
-    t = app.L2 / cfg.particle.velocity
-    coef = cfg.particle.mass / (2.0 * t)
-    pref = cmath.sqrt(cfg.particle.mass / (2.0j * math.pi * t))
     for slit, got in zip("AB", psi):
-        f = barrier_field(app, cfg.particle, slit)
-        want = _propagate_sum_oracle(got.x, f.x, f.values, f.dx, pref, coef)
+        want = _slit_oracle(cfg, app, slit, got.x)
         assert np.max(np.abs(got.values - want)) <= 1e-9 * np.max(np.abs(want)), slit
