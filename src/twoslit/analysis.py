@@ -285,7 +285,7 @@ def onset_metrics(
     if profile.x.size != baseline.x.size or not np.array_equal(profile.x, baseline.x):
         raise InvalidArgumentError("profile and baseline are on different grids")
     lv = local_visibility_profile(profile, window_width)
-    lv_base = local_visibility_profile(baseline, window_width)
+    lv_base = lv if baseline is profile else local_visibility_profile(baseline, window_width)
     excess = np.clip(lv - lv_base, 0.0, None)
     mass = np.where(excess >= threshold, excess, 0.0)
     total = float(np.sum(mass))

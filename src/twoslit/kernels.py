@@ -7,17 +7,23 @@ depend only on (seed, path_id, slice_id).
 
 Propagation is Bluestein's chirp-z transform (Rabiner, Schafer & Rader
 1969; Bluestein 1970): on uniform grids the quadrature is one FFT
-convolution of length >= n_in + n_out - 1, equal to the direct sum up to
-rounding (3e-11 of the peak on desk's 993 -> 4096 propagations).
-pocketfft is single-threaded and runs the same operations on every call,
-so these bytes depend on neither the worker count nor the run.  Two
-screen samples of the mirror slit pair (psi_A, psi_B of a source on the
-axis with slits at +-d/2, on an even screen grid) are direct sums: the
-pair next to x = 0, equal in exact arithmetic.  The visibility extrema
-search treats two exactly equal samples as no maximum, and at desk
-d = rho/2 the kick-reference verdict hangs on their last-ulp rounding,
-which the direct sum reproduces.  Those sums go once that search is
-plateau-aware.
+convolution, equal to the direct sum up to rounding (3e-11 of the peak
+on desk's 993 -> 4096 propagations).  Its length is the smallest
+2^a * 3^b * 5^c >= n_in + n_out - 1 (5120 for 993 -> 4096, not 8192),
+which pocketfft's mixed-radix plans run directly.  The kernel chirp's
+spectrum depends only on (n_in, n_out, g = coef*ho*hi), so it is planned
+once per such key: a private least-recently-used table of 8 read-only
+arrays (a desk sweep needs 5, about 0.3 MB).  A planned spectrum is the
+array a cold call computes, so the bytes do not depend on what ran
+before.  pocketfft is single-threaded and runs the same operations on
+every call, so these bytes depend on neither the worker count nor the
+run.  Two screen samples of the mirror slit pair (psi_A, psi_B of a
+source on the axis with slits at +-d/2, on an even screen grid) are
+direct sums: the pair next to x = 0, equal in exact arithmetic.  The
+visibility extrema search treats two exactly equal samples as no
+maximum, and at desk d = rho/2 the kick-reference verdict hangs on
+their last-ulp rounding, which the direct sum reproduces.  Those sums
+go once that search is plateau-aware.
 
 The Monte Carlo phase sum works in blocks of paths of at most 2^16
 elements.  Each output element is a reduction over one row, of fixed
@@ -52,6 +58,7 @@ column pair instead of n_slices^2.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 
@@ -156,13 +163,49 @@ def _blocks(fn, n_rows: int, row_len: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 2^a * 3^b * 5^c >= n, a length pocketfft's
+    mixed-radix plans run without padding to a power of two."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@functools.lru_cache(maxsize=8)
+def _chirp_plan(n_in: int, n_out: int, g: float) -> tuple[int, np.ndarray]:
+    """FFT length and read-only spectrum of the kernel chirp
+    exp(i*g*(p-q)^2) of one convolution shape."""
+    # p - q = m + (n_in - n_out)/2 for m = j - i in -(n_in - 1) .. n_out - 1,
+    # m wrapped to n >= n_in + n_out - 1 points
+    n = _fft_length(n_in + n_out - 1)
+    m = np.arange(1 - n_in, n_out)
+    k = m + 0.5 * (n_in - n_out)
+    h = np.zeros(n, np.complex128)
+    h[m % n] = np.exp(1j * (g * k * k))
+    spectrum = np.fft.fft(h)
+    spectrum.setflags(write=False)
+    return n, spectrum
+
+
 def propagate_sum(x_out, x_in, values, dx, pref, coef):
     """Kernel quadrature on uniform grids by Bluestein's chirp-z transform.
 
     With xo = mo + p*ho, xi = mi + q*hi (p, q centred indices) and
     p*q = (p^2 + q^2 - (p-q)^2)/2, coef*(xo - xi)^2 splits into a chirp
     on the output, a chirp on the input and g*(p-q)^2, g = coef*ho*hi;
-    the last is one FFT convolution of length >= n_in + n_out - 1.
+    the last is one FFT convolution of the smallest 5-smooth length
+    >= n_in + n_out - 1.  The spectrum of exp(i*g*(p-q)^2) comes from
+    the plan for (n_in, n_out, g), so a call does one forward and one
+    inverse FFT of its own, with the same bytes as a cold plan.
     """
     x_out = np.ascontiguousarray(x_out, dtype=np.float64)
     x_in = np.ascontiguousarray(x_in, dtype=np.float64)
@@ -178,14 +221,10 @@ def propagate_sum(x_out, x_in, values, dx, pref, coef):
     p = np.arange(n_out) - 0.5 * (n_out - 1)
     b = x_in - mi
     u = values * np.exp(1j * (coef * b * (b - 2.0 * (mo - mi)) - g * q * q))
-    # p - q = m + (n_in - n_out)/2 for m = j - i in -(n_in - 1) .. n_out - 1,
-    # m wrapped to n >= n_in + n_out - 1 points
-    n = 1 << (n_in + n_out - 2).bit_length()
-    m = np.arange(1 - n_in, n_out)
-    k = m + 0.5 * (n_in - n_out)
-    h = np.zeros(n, np.complex128)
-    h[m % n] = np.exp(1j * (g * k * k))
-    y = np.fft.ifft(np.fft.fft(u, n) * np.fft.fft(h))[:n_out]
+    n, spectrum = _chirp_plan(n_in, n_out, float(g))
+    y = np.fft.fft(u, n)
+    y *= spectrum
+    y = np.fft.ifft(y)[:n_out]
     a = x_out - mi
     y *= np.exp(1j * (coef * a * a - g * p * p))
     return y * (complex(pref) * float(dx))

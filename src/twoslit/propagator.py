@@ -6,16 +6,19 @@ The kernel between transverse points over a flight time T (hbar = 1):
 
 propagate() realizes the superposition integral by midpoint quadrature
 on the input grid, as a chirp-z FFT convolution that equals the direct
-sum up to rounding.  propagate_pair() propagates two fields onto one
-grid; when the second is the first's exact mirror image about x = 0 and
-the target grid is symmetric (the slit pair of a source on the axis
-with slits at +-d/2: every shipped config and sweep entry), it makes one
-chirp-z sum and reads the mirror field backwards.  On an even grid the
-two samples next to x = 0 of each field are then replaced by direct
-sums, because a visibility verdict hangs on their exact tie (see
-kernels).  Either way the result is bit-identical for any thread count
-and on every run.  The chirp-z path needs uniform grids, so PlaneField
-rejects an x whose spacing is not dx.
+sum up to rounding.  The convolution runs on the smallest 5-smooth FFT
+length that holds it, and the kernel's spectrum is planned once per
+(n_in, n_out, g) in a bounded table of read-only arrays, whose state
+changes no output bit (see kernels).  propagate_pair() propagates two
+fields onto one grid; when the second is the first's exact mirror image
+about x = 0 and the target grid is symmetric (the slit pair of a source
+on the axis with slits at +-d/2: every shipped config and sweep entry),
+it makes one chirp-z sum and reads the mirror field backwards.  On an
+even grid the two samples next to x = 0 of each field are then replaced
+by direct sums, because a visibility verdict hangs on their exact tie
+(see kernels).  Either way the result is bit-identical for any thread
+count and on every run.  The chirp-z path needs uniform grids, so
+PlaneField rejects an x whose spacing is not dx.
 """
 
 from __future__ import annotations

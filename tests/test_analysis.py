@@ -175,6 +175,26 @@ def test_onset_none_when_profiles_match():
     assert rep.asymmetry_index == 0.0
 
 
+def test_onset_against_itself_computes_one_profile(monkeypatch):
+    # null is psi_A itself when the crossing window misses the screen,
+    # and detected the stub image when nothing is trapped: the profile
+    # is its own baseline and its local visibility is computed once.
+    x, _, fringes = _onset_fixture()
+    p = _profile(x, fringes)
+    want = local_visibility_profile(p, 20.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return local_visibility_profile(*args)
+
+    monkeypatch.setattr("twoslit.analysis.local_visibility_profile", counted)
+    rep = onset_metrics(p, p, window_width=20.0)
+    assert len(calls) == 1
+    assert (rep.onset_side, rep.visibility_centroid_x, rep.asymmetry_index) == ("none", 0.0, 0.0)
+    assert np.array_equal(rep.local_visibility.view(np.uint64), want.view(np.uint64))
+
+
 def test_onset_right_sided():
     x, flat, fringes = _onset_fixture()
     vals = np.where(x > 40.0, fringes, 1.0)

@@ -232,7 +232,7 @@ class _InlinePool:
 @example(n_rows=4096, row_len=64, workers=2)
 @example(n_rows=5, row_len=1, workers=4)
 @example(n_rows=3, row_len=kernels._BLOCK + 1, workers=8)
-def test_blocks_tile_rows_with_a_block_per_worker(n_rows, row_len, workers):
+def test_blocks_tile_rows_in_order(n_rows, row_len, workers):
     spans = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_WORKERS", workers)
@@ -281,6 +281,58 @@ def test_chirp_z_sum_matches_direct_sum(n_in, n_out, c_in, c_out, w_in, w_out, m
     want = _propagate_sum_oracle(x_out, x_in, values, dx, pref, coef)
     assert got.shape == want.shape == (n_out,)
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    smooth = sorted(
+        2**a * 3**b * 5**c
+        for a in range(16)
+        for b in range(10)
+        for c in range(7)
+        if 2**a * 3**b * 5**c <= 2 * 20000
+    )
+    for n in range(1, 20001):
+        want = next(m for m in smooth if m >= n)
+        assert kernels._fft_length(n) == want, n
+    # desk: 993 -> 4096 and 64 -> 4096 (and back), 64 -> 993
+    assert [kernels._fft_length(n) for n in (4159, 5088, 1056)] == [4320, 5120, 1080]
+
+
+@pytest.mark.parametrize("d", [10.0, 2000.0])
+def test_chirp_plan_changes_no_bytes(d):
+    # The kernel spectrum planned for a shape is the one a cold call
+    # builds, so a field's bits do not depend on what ran before.
+    cfg = load_config(DESK)
+    app = cfg.apparatus.with_slit_separation(d)
+    fields = ("psi_a", "stub_image", "detected")
+
+    def values(name):
+        return getattr(ChannelSet(app, cfg.detector, cfg.particle), name).values
+
+    cold = {}
+    for name in fields:
+        kernels._chirp_plan.cache_clear()
+        cold[name] = values(name)
+    for name in fields:
+        values(name)  # plan every shape again
+    misses = kernels._chirp_plan.cache_info().misses
+    warm = {name: values(name) for name in fields}
+    assert kernels._chirp_plan.cache_info().misses == misses  # every warm sum reused a plan
+    for name in fields:
+        assert np.array_equal(cold[name].view(np.uint64), warm[name].view(np.uint64)), name
+    n, spectrum = kernels._chirp_plan(64, 4096, 1e-3)
+    assert n == 4320 and spectrum.shape == (n,)
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum[0] = 0.0
+
+
+def test_desk_sweep_plans_five_spectra(tmp_path, kernel_calls):
+    # 36 sums over five shapes: (64, 4096), (64, 993|994), (993|994, 4096).
+    kernels._chirp_plan.cache_clear()
+    assert main(["sweep", "--config", str(DESK), "--out", str(tmp_path / "run")]) == 0
+    assert kernel_calls.count("propagate_sum") == 36
+    assert kernels._chirp_plan.cache_info().misses <= 5
 
 
 SHIPPED = [DESK, PAPER, GOLDEN]
