@@ -20,8 +20,10 @@ Exit codes: 0 success; 2 unusable input (missing/invalid config file,
 schema violation, bad uncertainty arguments); 3 physically invalid
 configuration; 4 internal numerical failure.
 
-All artifacts are computed fully before anything is written, and each
-file goes through a temp-file + atomic rename, so a failed run leaves
+All artifacts are computed fully before anything is written, each as a
+sequence of text chunks (paths.csv one chunk per bundle, so no single
+string holds the whole table; every other file one chunk).  Each file's
+chunks go into a temp file, then an atomic rename, so a failed run leaves
 no partial outputs.  Floats are serialized with repr (shortest
 round-trip decimal); CSV uses LF line endings; JSON keys keep insertion
 order.
@@ -35,7 +37,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,12 +65,15 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write the concatenated chunks to path through a temp file and an
+    atomic rename; on any failure, even one raised while producing a
+    chunk, neither path nor the temp file is left behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -150,9 +155,9 @@ def _check_window(cfg: RunConfig) -> None:
             raise InvalidArgumentError(f"analysis.local_window_width: {exc}") from None
 
 
-def _simulate_artifacts(cfg: RunConfig) -> dict[str, str]:
-    """Compute every simulate artifact as text; raises before writing
-    anything on any failure."""
+def _simulate_artifacts(cfg: RunConfig) -> dict[str, list[str]]:
+    """Compute every simulate artifact as text chunks; raises before
+    writing anything on any failure."""
     app, det, part, ana = cfg.apparatus, cfg.detector, cfg.particle, cfg.analysis
     report = _validated(cfg)
     _check_window(cfg)
@@ -194,17 +199,17 @@ def _simulate_artifacts(cfg: RunConfig) -> dict[str, str]:
         if not bool(np.all(np.isfinite(col))):
             raise NumericalError(f"non-finite values in {name}")
 
-    artifacts: dict[str, str] = {}
+    artifacts: dict[str, list[str]] = {}
     if cfg.output.emit_csv:
-        artifacts["intensity.csv"] = _csv_text(["x_bohr", *columns], [x, *columns.values()])
+        artifacts["intensity.csv"] = [_csv_text(["x_bohr", *columns], [x, *columns.values()])]
     if cfg.output.emit_json:
-        artifacts["summary.json"] = _json_text(summary)
+        artifacts["summary.json"] = [_json_text(summary)]
     if cfg.output.emit_svg:
-        artifacts["intensity.svg"] = _svg_text(x, columns)
+        artifacts["intensity.svg"] = [_svg_text(x, columns)]
     return artifacts
 
 
-def _sweep_artifacts(cfg: RunConfig) -> dict[str, str]:
+def _sweep_artifacts(cfg: RunConfig) -> dict[str, list[str]]:
     if cfg.sweep_d_values is None:
         raise ConfigError("sweep.d_values", "missing required key for the sweep command")
     if len(cfg.sweep_d_values) < 2:
@@ -229,25 +234,28 @@ def _sweep_artifacts(cfg: RunConfig) -> dict[str, str]:
         "onset_d": onset_d,
         "d_values": list(cfg.sweep_d_values),
     }
-    artifacts: dict[str, str] = {}
+    artifacts: dict[str, list[str]] = {}
     if cfg.output.emit_csv:
         cols = analysis.SweepTable.COLUMNS
-        artifacts["sweep.csv"] = _csv_text(cols, [[getattr(r, c) for r in table.rows] for c in cols])
+        artifacts["sweep.csv"] = [_csv_text(cols, [[getattr(r, c) for r in table.rows] for c in cols])]
     if cfg.output.emit_json:
-        artifacts["sweep_digest.json"] = _json_text(digest)
+        artifacts["sweep_digest.json"] = [_json_text(digest)]
     return artifacts
 
 
-def _bundle_rows(bundle_id: str, bundle: paths_mod.PathBundle, lines: list[str]) -> None:
-    """Append a CSV row per valid event; each z and x is formatted once."""
+def _bundle_rows(bundle_id: str, bundle: paths_mod.PathBundle) -> str:
+    """One bundle's CSV rows, one per valid event, each ending in a line
+    feed, as one string; each z and x is formatted once."""
     events = [f"{k},{z!r}" for k, z in enumerate(bundle.z.tolist())]
     rows = zip(bundle.x.tolist(), bundle.lengths.tolist(), bundle.truncated.tolist())
+    lines = []
     for pid, (xs, n, cut) in enumerate(rows):
-        head, flag = f"{bundle_id},{pid},", "true" if cut else "false"
-        lines.extend([f"{head}{ev},{x!r},{flag}" for ev, x in zip(events[:n], xs)])
+        head, tail = f"{bundle_id},{pid},", ",true\n" if cut else ",false\n"
+        lines.extend([f"{head}{ev},{x!r}{tail}" for ev, x in zip(events[:n], xs)])
+    return "".join(lines)
 
 
-def _paths_artifacts(cfg: RunConfig, seed_override: int | None) -> dict[str, str]:
+def _paths_artifacts(cfg: RunConfig, seed_override: int | None) -> dict[str, list[str]]:
     if cfg.paths is None:
         raise ConfigError("paths", "missing required section for the paths command")
     _validated(cfg)
@@ -258,14 +266,12 @@ def _paths_artifacts(cfg: RunConfig, seed_override: int | None) -> dict[str, str
     )
     crossings = {"seed": seed, "pairs": pairs, "total": sum(pairs.values())}
 
-    artifacts: dict[str, str] = {}
+    artifacts: dict[str, list[str]] = {}
     if cfg.output.emit_csv:
-        lines = ["bundle_id,path_id,point_index,z_bohr,x_bohr,truncated"]
-        for bundle_id, bundle in bundles.items():
-            _bundle_rows(bundle_id, bundle, lines)
-        artifacts["paths.csv"] = "\n".join(lines) + "\n"
+        header = "bundle_id,path_id,point_index,z_bohr,x_bohr,truncated\n"
+        artifacts["paths.csv"] = [header, *(_bundle_rows(b_id, b) for b_id, b in bundles.items())]
     if cfg.output.emit_json:
-        artifacts["crossings.json"] = _json_text(crossings)
+        artifacts["crossings.json"] = [_json_text(crossings)]
     return artifacts
 
 
@@ -326,8 +332,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             artifacts = _sweep_artifacts(cfg)
         else:
             artifacts = _paths_artifacts(cfg, seed_override=args.seed)
-        for name, text in artifacts.items():
-            _write_atomic(Path(cfg.output.directory) / name, text)
+        for name, chunks in artifacts.items():
+            _write_atomic(Path(cfg.output.directory) / name, chunks)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

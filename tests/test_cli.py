@@ -6,6 +6,7 @@ import inspect
 import json
 import pkgutil
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import twoslit
 from twoslit import kernels
 from twoslit.apparatus import make_particle
-from twoslit.cli import main
+from twoslit.cli import _write_atomic, main
 from twoslit.paths import SpacetimeEvent, mc_kernel_estimate
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -200,6 +201,36 @@ def test_paths_artifact_bytes_are_pinned(tmp_path: Path):
         assert main(["paths", *argv, "--out", str(out)]) == 0
         got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("paths.csv", "crossings.json"))
         assert got == PATHS_DIGESTS[name], name
+
+
+def test_desk_paths_run_peaks_under_twice_its_csv(tmp_path: Path):
+    # paths.csv is held as one string per bundle and written chunk by
+    # chunk, so no copy of the whole table is made.
+    desk = str(CONFIGS / "desk.json")
+    assert main(["paths", "--config", desk, "--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["paths", "--config", desk, "--out", str(tmp_path / "run")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (tmp_path / "run" / "paths.csv").stat().st_size
+
+
+def test_write_atomic_leaves_nothing_when_a_chunk_fails(tmp_path: Path):
+    def chunks():
+        yield "bundle_id,path_id\n"
+        yield "x" * (1 << 20)  # past the write buffer, so bytes reach the temp file
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _write_atomic(tmp_path / "paths.csv", chunks())
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "paths.csv").write_text("old\n", encoding="utf-8")
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _write_atomic(tmp_path / "paths.csv", chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["paths.csv"]
+    assert (tmp_path / "paths.csv").read_text(encoding="utf-8") == "old\n"
 
 
 # Desk sweep verdict columns, recorded with every propagation a direct sum.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,10 +226,10 @@ def _mc_phase_oracle(key, n_paths, n_slices, dx_total, t_total, mass, sigma):
 @pytest.mark.parametrize(
     "n_paths, n_slices",
     [
-        (3 * (kernels._BLOCK // 32) + 5, 32),  # three full blocks and a ragged tail
+        (6149, 32),  # six full blocks and a ragged tail
         (70_001, 1),
-        (2, kernels._BLOCK + 3),  # one path per block
-        (1001, 32),  # fewer paths than one block holds, split across the workers
+        (2, 65539),  # rows longer than a block: one path per block
+        (1001, 32),  # fewer paths than one block holds: one block, run inline
     ],
 )
 def test_mc_phase_array_matches_chunked_loop_bit_for_bit(kernel_workers, n_paths, n_slices):
@@ -237,6 +238,19 @@ def test_mc_phase_array_matches_chunked_loop_bit_for_bit(kernel_workers, n_paths
     got = kernels.mc_phase_array(*args)
     want = _mc_phase_oracle(*args)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_mc_phase_array_peak_memory_is_a_few_blocks_per_worker(kernel_workers):
+    # Beyond its output, a call holds three block-sized buffers per block
+    # in flight, whatever the number of paths; the bound allows four.
+    key = kernels.stream_key(20240811, 5)
+    tracemalloc.start()
+    try:
+        got = kernels.mc_phase_array(key, 100_000, 32, 3.0, 100.0, 1.3, 0.7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= got.nbytes + 4 * 8 * kernels._BLOCK * kernels._WORKERS
 
 
 def _bridge_oracle(key, n_paths, n_slices, sigma):
