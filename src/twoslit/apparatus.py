@@ -52,12 +52,18 @@ def make_particle(mass: float, kinetic_energy: float) -> Particle:
     if not (kinetic_energy > 0.0):
         raise InvalidArgumentError(f"kinetic_energy must be > 0, got {kinetic_energy}")
     p = math.sqrt(2.0 * mass * kinetic_energy)
+    v, lam = p / mass, (2.0 * math.pi / p if p > 0.0 else math.inf)
+    if not all(0.0 < q < math.inf for q in (p, v, lam)):
+        raise InvalidArgumentError(
+            f"particle: mass={mass} and kinetic_energy={kinetic_energy} give momentum={p}, "
+            f"velocity={v}, de Broglie wavelength={lam}; each must be finite and > 0"
+        )
     return Particle(
         mass=mass,
         kinetic_energy=kinetic_energy,
         momentum=p,
-        velocity=p / mass,
-        de_broglie_wavelength=2.0 * math.pi / p,
+        velocity=v,
+        de_broglie_wavelength=lam,
     )
 
 
@@ -148,7 +154,8 @@ DISC_N_MAX = 32768
 def disc_samples_required(apparatus: Apparatus, detector: DetectorConfig, particle: Particle) -> int:
     """Disc-plane samples needed to resolve the incoming stub phase and
     the outgoing screen phase, before the [DISC_N_MIN, DISC_N_MAX] clamp.
-    Needs depth_epsilon < L2."""
+    Needs depth_epsilon < L2.  A need past 2^53 (an infinite one, say,
+    from a tiny depth_epsilon) reads as 2^53."""
     rho = detector.radius_rho
     eps = detector.depth_epsilon
     a = apparatus
@@ -156,7 +163,7 @@ def disc_samples_required(apparatus: Apparatus, detector: DetectorConfig, partic
     rate = particle.momentum * (
         (rho + a.slit_width) / eps + (screen_abs + rho + abs(a.slit_B_center)) / (a.L2 - eps)
     )
-    return int(math.ceil(2.0 * rho * rate * _DISC_POINTS_PER_RADIAN))
+    return int(math.ceil(min(2.0 * rho * rate * _DISC_POINTS_PER_RADIAN, 2.0**53)))
 
 
 @dataclass(frozen=True)

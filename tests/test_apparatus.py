@@ -46,6 +46,13 @@ def test_particle_domain(mass, energy):
         make_particle(mass=mass, kinetic_energy=energy)
 
 
+@pytest.mark.parametrize("mass,energy", [(1e308, 1e308), (1e-300, 1e-300), (5e-324, 1e308)])
+def test_particle_refuses_non_finite_kinematics(mass, energy):
+    # momentum overflows, underflows to 0, or the velocity overflows
+    with pytest.raises(InvalidArgumentError, match="^particle: "):
+        make_particle(mass=mass, kinetic_energy=energy)
+
+
 def test_slit_geometry(desk_apparatus):
     a = desk_apparatus
     assert a.slit_separation == 500.0
@@ -151,3 +158,12 @@ def test_validate_warns_when_disc_grid_is_clamped(desk_apparatus, desk_particle)
     assert report.ok
     (issue,) = [i for i in report.warnings() if i.code == "disc_grid_clamped"]
     assert str(need) in issue.message and str(DISC_N_MAX) in issue.message
+
+
+def test_infinite_disc_requirement_reads_as_clamped(desk_apparatus, desk_particle):
+    # (rho + w) / epsilon overflows to inf at epsilon = 1e-308
+    thin = make_detector(enabled=True, photon_wavelength=20.0, radius_rho=20.0, depth_epsilon=1e-308)
+    assert disc_samples_required(desk_apparatus, thin, desk_particle) == 2**53
+    report = validate(desk_apparatus, thin, desk_particle)
+    assert report.ok
+    assert "disc_grid_clamped" in {i.code for i in report.warnings()}

@@ -370,6 +370,45 @@ def test_off_axis_grid_fails_before_any_propagation(command, tmp_path: Path, cap
     assert not out.exists()
 
 
+# Non-finite numbers as JSON spells them: Python's json reads 1e999 as
+# inf and accepts NaN and Infinity.
+NON_FINITE = [
+    ("particle", "mass", "1e999"),
+    ("analysis", "onset_threshold", "NaN"),
+    ("apparatus", "source_x", "NaN"),
+    ("analysis", "central_window", "[-1.55e5, Infinity]"),
+    ("sweep", "d_values", "[10.0, -Infinity]"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "paths"])
+def test_non_finite_numbers_exit_2_naming_the_key(command, tmp_path: Path, capsys):
+    for section, key, literal in NON_FINITE:
+        root = json.loads((CONFIGS / "desk.json").read_text())
+        root[section][key] = "@"
+        cfg = tmp_path / "non_finite.json"
+        cfg.write_text(json.dumps(root).replace('"@"', literal), encoding="utf-8")
+        out = tmp_path / "never"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, key
+        assert f"config error: {section}.{key}: expected a finite number" in capsys.readouterr().err
+        assert not out.exists(), key
+
+
+def test_overflowing_momentum_exits_3_naming_particle(tmp_path: Path, capsys):
+    cfg = _desk_variant(tmp_path, "particle", mass=1e308, kinetic_energy=1e308)
+    out = tmp_path / "never"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    assert "invalid configuration: particle:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "paths"])
+def test_tiny_depth_epsilon_never_exits_1(command, tmp_path: Path):
+    # The disc-plane requirement overflows to inf; it reads as the clamp.
+    cfg = _desk_variant(tmp_path, "detector", depth_epsilon=1e-308)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) in (0, 3)
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_one_point_apertures_run(command, tmp_path: Path):
     # One aperture point per slit: the disc captures are chirp-z sums of

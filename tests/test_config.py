@@ -61,6 +61,76 @@ def test_parse_full_sections():
     assert cfg.output.emit_svg and cfg.output.emit_csv
 
 
+# Valid contents for the optional sections, so one key can be set wrong.
+OPTIONAL_SECTIONS = {"sweep": {}, "paths": {"n_paths": 4, "n_slices": 2, "seed": 1}, "output": {}}
+
+# One wrong-typed value for each of the 28 keys a config accepts.
+WRONG_TYPES = [
+    ("particle", "mass", "heavy"),
+    ("particle", "kinetic_energy", None),
+    ("apparatus", "source_x", "0"),
+    ("apparatus", "L1", [1e5]),
+    ("apparatus", "L2", {}),
+    ("apparatus", "slit_A_center", True),
+    ("apparatus", "slit_B_center", "250"),
+    ("apparatus", "slit_width", None),
+    ("apparatus", "screen_min", [-2e5]),
+    ("apparatus", "screen_max", False),
+    ("apparatus", "screen_samples", 2.5),
+    ("apparatus", "aperture_samples", "16"),
+    ("detector", "enabled", "yes"),
+    ("detector", "photon_wavelength", "20"),
+    ("detector", "radius_rho", True),
+    ("detector", "depth_epsilon", [5.0]),
+    ("detector", "detection_probability_override", "0.5"),
+    ("analysis", "central_window", {"lo": 0.0, "hi": 1.0}),
+    ("analysis", "local_window_width", None),
+    ("analysis", "onset_threshold", "0.02"),
+    ("sweep", "d_values", 10.0),
+    ("paths", "n_paths", 4.0),
+    ("paths", "n_slices", "2"),
+    ("paths", "seed", 1.5),
+    ("output", "directory", ["out"]),
+    ("output", "emit_csv", 1),
+    ("output", "emit_json", "true"),
+    ("output", "emit_svg", None),
+]
+
+# Every key a config must give, each as its dotted path.
+REQUIRED_KEYS = [
+    "particle",
+    "apparatus",
+    "detector",
+    "analysis",
+    "particle.mass",
+    "particle.kinetic_energy",
+    "apparatus.source_x",
+    "apparatus.L1",
+    "apparatus.L2",
+    "apparatus.slit_A_center",
+    "apparatus.slit_B_center",
+    "apparatus.slit_width",
+    "apparatus.screen_min",
+    "apparatus.screen_max",
+    "apparatus.screen_samples",
+    "apparatus.aperture_samples",
+    "detector.enabled",
+    "detector.photon_wavelength",
+    "analysis.central_window",
+    "analysis.local_window_width",
+    "paths.n_paths",
+    "paths.n_slices",
+    "paths.seed",
+]
+
+
+def _setter(section: str, key: str, value):
+    def mutate(root: dict) -> None:
+        root.setdefault(section, copy.deepcopy(OPTIONAL_SECTIONS.get(section)))[key] = value
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate,path",
     [
@@ -79,6 +149,10 @@ def test_parse_full_sections():
         (lambda r: r.update(paths={"n_paths": 4, "n_slices": 2}), "paths.seed"),
         (lambda r: r.update(paths={"n_paths": 0, "n_slices": 2, "seed": 1}), "paths.n_paths"),
         (lambda r: r.update(paths={"n_paths": 4, "n_slices": -3, "seed": 1}), "paths.n_slices"),
+        *(
+            pytest.param(_setter(section, key, value), f"{section}.{key}", id=f"{section}.{key}={value!r}")
+            for section, key, value in WRONG_TYPES
+        ),
     ],
 )
 def test_parse_rejects_with_dotted_path(mutate, path):
@@ -88,6 +162,45 @@ def test_parse_rejects_with_dotted_path(mutate, path):
         parse_config(root)
     assert err.value.path == path
     assert path in str(err.value)
+
+
+@pytest.mark.parametrize("path", REQUIRED_KEYS)
+def test_parse_reports_each_missing_required_key(path):
+    root = _base()
+    root["paths"] = dict(OPTIONAL_SECTIONS["paths"])
+    *parents, key = path.split(".")
+    node = root[parents[0]] if parents else root
+    del node[key]
+    with pytest.raises(ConfigError) as err:
+        parse_config(root)
+    assert err.value.path == path
+    assert str(err.value) == f"{path}: missing required key"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
+@pytest.mark.parametrize(
+    "path",
+    [
+        "particle.mass",
+        "apparatus.source_x",
+        "detector.depth_epsilon",
+        "analysis.onset_threshold",
+        "analysis.central_window",
+        "sweep.d_values",
+    ],
+)
+def test_parse_rejects_non_finite_numbers(path, value):
+    root = _base()
+    section, key = path.split(".")
+    if path == "analysis.central_window":
+        value = [-1.0, value]
+    elif path == "sweep.d_values":
+        value = [10.0, value]
+    root.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(root)
+    assert err.value.path == path
+    assert "expected a finite number" in str(err.value)
 
 
 def test_parse_rejects_non_object():
@@ -123,6 +236,11 @@ def test_load_config_bad_json(tmp_path: Path):
     p = tmp_path / "run.json"
     p.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
+        load_config(p)
+    # json refuses an integer literal past Python's 4300-digit limit
+    # with a plain ValueError
+    p.write_text('{"particle": {"mass": 1' + "0" * 5000 + "}}", encoding="utf-8")
+    with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(p)
 
 

@@ -195,10 +195,11 @@ def _propagate_sum_oracle(x_out, x_in, values, dx, pref, coef):
         (64, 4096),  # a desk slit pair
     ],
 )
-def test_propagate_sum_matches_direct_sum_bit_for_bit(kernel_workers, n_in, n_out):
+def test_propagate_sum_matches_direct_sum_bit_for_bit(n_in, n_out):
     # The centre direct sum of a field and of its mirror image equals the
-    # oracle's rows bit for bit, with any worker count: a row summed on
-    # its own is the same row of the whole term matrix.
+    # oracle's rows bit for bit, whichever rows are asked for: a row summed
+    # on its own is the same row of the whole term matrix.  direct_sum runs
+    # on the calling thread, so the worker count does not enter.
     rng = np.random.default_rng(n_in * 7919 + n_out)
     x_in = rng.uniform(-50.0, 0.0) + rng.uniform(0.01, 0.1) * np.arange(n_in)
     x_out = rng.uniform(1.0, 20.0) * (np.arange(n_out) - 0.5 * (n_out - 1))

@@ -1,10 +1,12 @@
-"""The README's Library import block runs, and names only exported API."""
+"""The README's Library import block runs and names only exported API,
+and its Configuration table lists the keys the config schema reads."""
 
 import ast
 import re
 from pathlib import Path
 
 import twoslit
+from twoslit import config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +24,15 @@ def test_readme_library_imports_are_exported():
     ]
     assert "ChannelSet" in names
     assert sorted(set(names) - set(twoslit.__all__)) == []
+
+
+def test_readme_configuration_table_matches_the_schema():
+    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `"):
+            table[cells[0].strip("`")] = re.findall(r"`([^`]+)`", cells[1])
+    schema = {name: list(keys) for name, (keys, _) in config._SCHEMA.items()}
+    assert table == schema
