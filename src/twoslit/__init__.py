@@ -50,7 +50,6 @@ from .paths import (
 from .propagator import (
     GridSpec,
     PlaneField,
-    apply_aperture,
     free_kernel,
     point_source_field,
     propagate,
@@ -95,7 +94,6 @@ __all__ = [
     "TwoslitError",
     "UncertaintyReport",
     "ValidationReport",
-    "apply_aperture",
     "cm_to_bohr",
     "combined_intensity",
     "crossing_count",

@@ -42,7 +42,6 @@ class IntensityProfile:
     x: np.ndarray
     values: np.ndarray
     dx: float
-    normalized: bool
 
     def __post_init__(self) -> None:
         if self.x.shape != self.values.shape or self.x.ndim != 1 or self.x.size == 0:
@@ -79,14 +78,13 @@ class SweepTable:
     COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
-def intensity(field_in: PlaneField, normalize: bool = True) -> IntensityProfile:
+def intensity(field_in: PlaneField) -> IntensityProfile:
+    """|field|^2 scaled to unit trapezoid area."""
     vals = np.abs(field_in.values) ** 2
-    if normalize:
-        area = float(np.trapezoid(vals, field_in.x))
-        if not (area > 0.0):
-            raise InvalidArgumentError("cannot normalize a zero-intensity field")
-        vals = vals / area
-    return IntensityProfile(x=field_in.x, values=vals, dx=field_in.dx, normalized=normalize)
+    area = float(np.trapezoid(vals, field_in.x))
+    if not (area > 0.0):
+        raise InvalidArgumentError("cannot normalize a zero-intensity field")
+    return IntensityProfile(x=field_in.x, values=vals / area, dx=field_in.dx)
 
 
 def _strict_extrema(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +257,8 @@ def fraunhofer_oracle(apparatus: Apparatus, particle: Particle) -> IntensityProf
     from the projected pattern center, unit-area normalized."""
     from .scenario import screen_grid
 
-    x, dx = screen_grid(apparatus).points_and_spacing()
+    grid = screen_grid(apparatus)
+    x = grid.x
     mid = 0.5 * (apparatus.slit_A_center + apparatus.slit_B_center)
     center = mid + (mid - apparatus.source_x) * apparatus.L2 / apparatus.L1
     u = (x - center) / (particle.de_broglie_wavelength * apparatus.L2)
@@ -267,7 +266,7 @@ def fraunhofer_oracle(apparatus: Apparatus, particle: Particle) -> IntensityProf
     w = apparatus.slit_width
     vals = np.cos(np.pi * d * u) ** 2 * np.sinc(w * u) ** 2
     area = float(np.trapezoid(vals, x))
-    return IntensityProfile(x=x, values=vals / area, dx=dx, normalized=True)
+    return IntensityProfile(x=x, values=vals / area, dx=grid.dx)
 
 
 def onset_metrics(

@@ -230,14 +230,32 @@ def validate(apparatus: Apparatus, detector: DetectorConfig, particle: Particle)
 
     # Every grid a run samples must be uniform (the chirp-z propagation
     # assumes it); far off axis, rounding can space narrow grids unevenly.
+    # Every propagation's largest kernel phase p*dx^2/(2L), over the
+    # spans it connects, must be a double: past that the fields are NaN.
     if not issues:
-        from .propagator import grid_step_error
         from .scenario import sampled_grids
 
         for key, name, grid in sampled_grids(a, detector, particle):
-            error = grid_step_error(*grid.points_and_spacing())
-            if error is not None:
-                err("nonuniform_grid", f"{key}: the {name} {error}")
+            if grid.step_error is not None:
+                err("nonuniform_grid", f"{key}: the {name} {grid.step_error}")
+        slits = (a.slit_A_interval[0], a.slit_B_interval[1])
+        screen = (a.screen_min, a.screen_max)
+        legs = [
+            ("apparatus.L1", a.L1, (a.source_x, a.source_x), slits),
+            ("apparatus.L2", a.L2, slits, screen),
+        ]
+        if detector.enabled and detector.depth_epsilon < a.L2:
+            eps, rho = detector.depth_epsilon, detector.radius_rho
+            disc = (a.slit_B_center - rho, a.slit_B_center + rho)
+            legs += [
+                ("detector.depth_epsilon", eps, slits, disc),
+                ("detector.depth_epsilon", a.L2 - eps, disc, screen),
+            ]
+        for key, L, (in_lo, in_hi), (out_lo, out_hi) in legs:
+            reach = max(abs(out_hi - in_lo), abs(in_hi - out_lo))
+            phase = particle.momentum * reach * reach / (2.0 * L)
+            if not math.isfinite(phase):
+                err("infinite_phase", f"{key}: the kernel phase p*dx^2/(2L) over L={L!r} is {phase!r}, not finite")
 
     # Warnings are only meaningful on an otherwise sound geometry.
     if not [i for i in issues if i.severity == "error"]:

@@ -142,15 +142,15 @@ def _check_window(cfg: RunConfig) -> None:
     """Refuse a central window with too few screen samples, or (with the
     detector on) a local window narrower than the onset statistics
     accept, before any propagation."""
-    x, dx = scenario.screen_grid(cfg.apparatus).points_and_spacing()
+    screen = scenario.screen_grid(cfg.apparatus)
     ana = cfg.analysis
     try:
-        analysis.window_mask(x, ana.central_window)
+        analysis.window_mask(screen.x, ana.central_window)
     except InvalidArgumentError as exc:
         raise InvalidArgumentError(f"analysis.central_window: {exc}") from None
     if cfg.detector.enabled:
         try:
-            analysis.check_window_width(ana.local_window_width, dx)
+            analysis.check_window_width(ana.local_window_width, screen.dx)
         except InvalidArgumentError as exc:
             raise InvalidArgumentError(f"analysis.local_window_width: {exc}") from None
 

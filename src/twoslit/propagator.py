@@ -17,8 +17,12 @@ it makes one chirp-z sum and reads the mirror field backwards.  On an
 even grid the two samples next to x = 0 of each field are then replaced
 by direct sums, because a visibility verdict hangs on their exact tie
 (see kernels).  Either way the result is bit-identical for any thread
-count and on every run.  The chirp-z path needs uniform grids, so
-PlaneField rejects an x whose spacing is not dx.
+count and on every run.
+
+A PlaneField is values on the points of one GridSpec, so its x and dx
+cannot disagree.  The chirp-z path needs uniform grids: a grid's points
+lie dx apart up to rounding, and apparatus.validate asks every grid a
+run samples for its step_error verdict before anything propagates.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,13 +41,15 @@ from .errors import InvalidArgumentError
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid request on [lo, hi].
+    """Uniform grid on [lo, hi].
 
     cell_centered=False: n nodes including both endpoints (screen-type
     grids).  cell_centered=True: n midpoints of equal cells (quadrature
     grids for apertures and the detection disc).  Points are built
     symmetrically about the interval midpoint so that a sign-symmetric
-    interval yields an exactly sign-symmetric point set.
+    interval yields an exactly sign-symmetric point set.  The spacing
+    dx, the read-only points x and the uniformity verdict step_error are
+    each computed once, on first use.
     """
 
     lo: float
@@ -50,62 +57,59 @@ class GridSpec:
     n: int
     cell_centered: bool = False
 
-    def points_and_spacing(self) -> tuple[np.ndarray, float]:
+    # Largest departure of a step from dx, relative to dx.  Rounding
+    # leaves ~1e-12; the chirp-z propagation assumes uniform grids.
+    _RTOL = 1e-9
+
+    @cached_property
+    def dx(self) -> float:
         if not (self.hi > self.lo):
             raise InvalidArgumentError(f"grid bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
         if self.n < 1 or (not self.cell_centered and self.n < 2):
             raise InvalidArgumentError(f"grid needs at least {1 if self.cell_centered else 2} points, got {self.n}")
-        span = self.hi - self.lo
-        mid = 0.5 * (self.lo + self.hi)
-        if self.cell_centered:
-            dx = span / self.n
-        else:
-            dx = span / (self.n - 1)
+        return (self.hi - self.lo) / (self.n if self.cell_centered else self.n - 1)
+
+    @cached_property
+    def x(self) -> np.ndarray:
         offsets = np.arange(self.n, dtype=np.float64) - 0.5 * (self.n - 1)
-        return mid + offsets * dx, dx
+        x = 0.5 * (self.lo + self.hi) + offsets * self.dx
+        x.setflags(write=False)
+        return x
 
-
-# Largest departure of a field grid step from its dx, relative to dx.
-# Rounding in GridSpec leaves ~1e-12; the chirp-z propagation assumes
-# exactly uniform grids.
-_GRID_RTOL = 1e-9
-
-
-def grid_step_error(x: np.ndarray, dx: float) -> str | None:
-    """Why the points x are not a uniform grid of spacing dx (to
-    _GRID_RTOL of dx), or None when they are."""
-    off = np.abs(np.diff(x) - dx)
-    if np.all(off <= _GRID_RTOL * abs(dx)):
-        return None
-    return f"grid must be uniform with spacing dx={dx!r}; a step is off by {float(np.max(off))!r}"
+    @cached_property
+    def step_error(self) -> str | None:
+        """Why the points are not uniform to _RTOL of dx (far off axis,
+        rounding can space a narrow grid unevenly), or None."""
+        off = np.abs(np.diff(self.x) - self.dx)
+        if np.all(off <= self._RTOL * abs(self.dx)):
+            return None
+        worst = float(np.max(off))
+        return f"grid must be uniform with spacing dx={self.dx!r}; a step is off by {worst!r}"
 
 
 @dataclass(frozen=True)
 class PlaneField:
-    """Complex amplitude sampled on a uniform transverse grid at one plane:
-    consecutive points of x lie dx apart, to _GRID_RTOL of dx."""
+    """Complex amplitude sampled on the points of a grid at one plane;
+    its x and dx are the grid's."""
 
-    z_label: str
-    x: np.ndarray
+    grid: GridSpec
     values: np.ndarray
-    dx: float
 
     def __post_init__(self):
-        if self.x.size < 1 or self.x.size != self.values.size:
-            raise InvalidArgumentError("field needs matching, non-empty grid and values")
+        if self.values.shape != self.grid.x.shape:
+            raise InvalidArgumentError(
+                f"field needs one value per grid point, {self.grid.n}, got shape {self.values.shape}"
+            )
         if not np.all(np.isfinite(self.values)):
             raise InvalidArgumentError("field values must be finite")
-        error = grid_step_error(self.x, self.dx)
-        if error is not None:
-            raise InvalidArgumentError(f"field {error}")
 
     @property
-    def grid_min(self) -> float:
-        return float(self.x[0])
+    def x(self) -> np.ndarray:
+        return self.grid.x
 
     @property
-    def grid_max(self) -> float:
-        return float(self.x[-1])
+    def dx(self) -> float:
+        return self.grid.dx
 
 
 def free_kernel(x_b: float, x_a: float, mass: float, time: float) -> complex:
@@ -134,18 +138,15 @@ def _flight(L: float, particle: Particle) -> tuple[complex, float]:
 def point_source_field(source_x: float, target: GridSpec, L: float, particle: Particle) -> PlaneField:
     """Field a distance L downstream of a point source: one kernel fan."""
     pref, coef = _flight(L, particle)
-    x, dx = target.points_and_spacing()
-    d = x - source_x
-    values = pref * np.exp(1j * (coef * d * d))
-    return PlaneField(z_label=f"z+{L:g}", x=x, values=values, dx=dx)
+    d = target.x - source_x
+    return PlaneField(target, pref * np.exp(1j * (coef * d * d)))
 
 
 def propagate(field_in: PlaneField, L: float, particle: Particle, target: GridSpec) -> PlaneField:
     """Midpoint-quadrature kernel propagation onto the target grid."""
     pref, coef = _flight(L, particle)
-    x_out, dx_out = target.points_and_spacing()
-    out = kernels.propagate_sum(x_out, field_in.x, field_in.values, field_in.dx, pref, coef)
-    return PlaneField(z_label=f"{field_in.z_label}+{L:g}", x=x_out, values=out, dx=dx_out)
+    out = kernels.propagate_sum(target.x, field_in.x, field_in.values, field_in.dx, pref, coef)
+    return PlaneField(target, out)
 
 
 def propagate_pair(
@@ -157,7 +158,7 @@ def propagate_pair(
     that on an even grid the two samples next to x = 0 of each are
     direct sums; else two propagate() calls."""
     pref, coef = _flight(L, particle)
-    x_out, dx_out = target.points_and_spacing()
+    x_out = target.x
     mirror = (
         field_b.dx == field_a.dx
         and np.array_equal(field_b.x, -field_a.x[::-1])
@@ -173,37 +174,9 @@ def propagate_pair(
         centre = slice(n // 2 - 1, n // 2 + 1)
         for f, out in ((field_a, out_a), (field_b, out_b)):
             out[centre] = kernels.direct_sum(x_out[centre], f.x, f.values, f.dx, pref, coef)
-    return tuple(
-        PlaneField(z_label=f"{f.z_label}+{L:g}", x=x_out, values=v, dx=dx_out)
-        for f, v in ((field_a, out_a), (field_b, out_b))
-    )
+    return PlaneField(target, out_a), PlaneField(target, out_b)
 
 
-def apply_aperture(field: PlaneField, open_intervals: list[tuple[float, float]]) -> PlaneField:
-    """Zero the field outside the union of open intervals."""
-    ivs = sorted(open_intervals)
-    for lo, hi in ivs:
-        if not (lo < hi):
-            raise InvalidArgumentError(f"aperture interval must satisfy lo < hi, got ({lo}, {hi})")
-    for (_, hi1), (lo2, _) in zip(ivs, ivs[1:]):
-        if lo2 < hi1:
-            raise InvalidArgumentError("aperture intervals overlap")
-    keep = np.zeros(field.x.size, dtype=bool)
-    for lo, hi in ivs:
-        keep |= (field.x >= lo) & (field.x <= hi)
-    return PlaneField(
-        z_label=field.z_label,
-        x=field.x,
-        values=np.where(keep, field.values, 0.0 + 0.0j),
-        dx=field.dx,
-    )
-
-
-def transmitted_power(field: PlaneField, interval: tuple[float, float] | None = None) -> float:
-    """Quadrature integral of |field|^2, optionally over one interval."""
-    w = np.abs(field.values) ** 2
-    if interval is not None:
-        lo, hi = interval
-        mask = (field.x >= lo) & (field.x <= hi)
-        w = w[mask]
-    return float(np.sum(w) * field.dx)
+def transmitted_power(field: PlaneField) -> float:
+    """Quadrature integral of |field|^2."""
+    return float(np.sum(np.abs(field.values) ** 2) * field.dx)

@@ -19,16 +19,20 @@ kick_reference   |psi_A|^2 + |psi_B|^2 + 2*gamma*Re(psi_A conj(psi_B))
                  with gamma = exp(-(pi*d/lambda_ph)^2 / 2), an
                  independent decoherence surrogate used as an oracle
 
-The channels are plain PlaneFields; the detection probability p_det
-weighs them in the mixture.  ChannelSet propagates each field once, in
-order: psi_A and psi_B at the screen, as one pair; the B stub at the
-disc (p_det from its power, or the override); the trapped A field at
-the disc, only when A's cone reaches it; the stub's screen image
-(stub_image, also the detected channel's no-interference baseline); the
-detected channel propagate(stub + trapped), the stub image itself when
-nothing is trapped.  That is 3 propagations per geometry, 5 when A's
-cone reaches the disc.  Each channel's unit-area intensity is built
-once and shared by the measurements and the mixture.
+The channels are PlaneFields on the set's screen grid; the detection
+probability p_det weighs them in the mixture.  A ChannelSet builds the
+screen grid, the disc grid and the two barrier fields (each slit's
+source amplitude across its aperture) once; the slit pair, p_det, the
+stub and the trapped capture all read them.  It propagates each field
+once, in order: psi_A and psi_B at the screen, as one pair; the B stub
+at the disc (p_det from its power, or the override); the trapped A
+field at the disc, only when A's cone reaches it; the stub's screen
+image (stub_image, also the detected channel's no-interference
+baseline); the detected channel propagate(stub + trapped), the stub
+image itself when nothing is trapped.  That is 3 propagations per
+geometry, 5 when A's cone reaches the disc.  Each channel's unit-area
+intensity is built once and shared by the measurements and the
+mixture.
 
 The disc restriction multiplies by a flat-top window with C-infinity
 edges (support exactly [x_B - rho, x_B + rho]); a hard edge would add
@@ -158,46 +162,10 @@ def _require_detector(apparatus: Apparatus, detector: DetectorConfig) -> None:
         )
 
 
-def _disc_capture(
-    apparatus: Apparatus, detector: DetectorConfig, particle: Particle, slit: str
-) -> PlaneField:
-    """One slit's amplitude carried over epsilon to the disc window."""
-    grid = _disc_grid(apparatus, detector, particle)
-    f = propagate(barrier_field(apparatus, particle, slit), detector.depth_epsilon, particle, grid)
-    w = disc_window((f.x - apparatus.slit_B_center) / detector.radius_rho)
-    return PlaneField(z_label=f.z_label, x=f.x, values=f.values * w, dx=f.dx)
-
-
 def stub_source(apparatus: Apparatus, detector: DetectorConfig, particle: Particle) -> PlaneField:
-    """Slit-B amplitude carried to the disc plane and terminated there:
-    propagated over epsilon, then restricted to the disc window."""
-    _require_detector(apparatus, detector)
-    return _disc_capture(apparatus, detector, particle, "B")
-
-
-def trapped_a_source(
-    apparatus: Apparatus, detector: DetectorConfig, particle: Particle
-) -> PlaneField | None:
-    """Part of slit A's amplitude captured by the disc.
-
-    A's forward cone is bounded by the straight lines from the source
-    through the slit edges, advanced by epsilon to the disc plane.
-    Returns None (an exact zero contribution) when that cone misses the
-    disc support entirely; otherwise the A amplitude at the disc plane
-    restricted by the disc window.
-    """
-    _require_detector(apparatus, detector)
-    eps = detector.depth_epsilon
-    rho = detector.radius_rho
-    lo_edge, hi_edge = apparatus.slit_A_interval
-    src = apparatus.source_x
-    cone_lo = lo_edge + eps * (lo_edge - src) / apparatus.L1
-    cone_hi = hi_edge + eps * (hi_edge - src) / apparatus.L1
-    disc_lo = apparatus.slit_B_center - rho
-    disc_hi = apparatus.slit_B_center + rho
-    if cone_hi <= disc_lo or cone_lo >= disc_hi:
-        return None
-    return _disc_capture(apparatus, detector, particle, "A")
+    """Slit-B amplitude carried to the disc plane and terminated there
+    (see ChannelSet.stub)."""
+    return ChannelSet(apparatus, detector, particle).stub
 
 
 def crossing_window(apparatus: Apparatus, detector: DetectorConfig) -> CrossingWindow:
@@ -219,23 +187,39 @@ def crossing_window(apparatus: Apparatus, detector: DetectorConfig) -> CrossingW
 
 
 class ChannelSet:
-    """Every channel of one apparatus geometry.  Each field and channel
-    is computed on first use and kept, so each distinct propagation runs
-    at most once; a set shares nothing with any other set."""
+    """Every channel of one apparatus geometry.  Each grid, field and
+    channel is computed on first use and kept, so the screen grid, the
+    disc grid and each slit's barrier field are built once and each
+    distinct propagation runs at most once; a set shares nothing with
+    any other set."""
 
     def __init__(self, apparatus: Apparatus, detector: DetectorConfig, particle: Particle):
         self.apparatus, self.detector, self.particle = apparatus, detector, particle
+        self._screen = screen_grid(apparatus)
         self._unit_intensities: dict[int, IntensityProfile] = {}  # by id of a kept field
 
+    @cached_property
+    def _disc(self) -> GridSpec:
+        return _disc_grid(self.apparatus, self.detector, self.particle)
+
+    @cached_property
+    def _barrier(self) -> dict[str, PlaneField]:
+        return {slit: barrier_field(self.apparatus, self.particle, slit) for slit in "AB"}
+
+    def _disc_capture(self, slit: str) -> PlaneField:
+        """One slit's amplitude carried over epsilon to the disc window."""
+        det = self.detector
+        f = propagate(self._barrier[slit], det.depth_epsilon, self.particle, self._disc)
+        w = disc_window((f.x - self.apparatus.slit_B_center) / det.radius_rho)
+        return PlaneField(f.grid, f.values * w)
+
     def _disc_to_screen(self, source: PlaneField) -> PlaneField:
-        app = self.apparatus
-        return propagate(source, app.L2 - self.detector.depth_epsilon, self.particle, screen_grid(app))
+        L = self.apparatus.L2 - self.detector.depth_epsilon
+        return propagate(source, L, self.particle, self._screen)
 
     @cached_property
     def _psi_pair(self) -> tuple[PlaneField, PlaneField]:
-        app, part = self.apparatus, self.particle
-        fields = (barrier_field(app, part, slit) for slit in "AB")
-        return propagate_pair(*fields, app.L2, part, screen_grid(app))
+        return propagate_pair(*self._barrier.values(), self.apparatus.L2, self.particle, self._screen)
 
     @property
     def psi_a(self) -> PlaneField:
@@ -247,21 +231,42 @@ class ChannelSet:
 
     @cached_property
     def stub(self) -> PlaneField:
-        return stub_source(self.apparatus, self.detector, self.particle)
+        """Slit-B amplitude propagated over epsilon, then restricted to
+        the disc window."""
+        _require_detector(self.apparatus, self.detector)
+        return self._disc_capture("B")
 
     @cached_property
     def trapped(self) -> PlaneField | None:
-        return trapped_a_source(self.apparatus, self.detector, self.particle)
+        """Part of slit A's amplitude captured by the disc.
+
+        A's forward cone is bounded by the straight lines from the
+        source through the slit edges, advanced by epsilon to the disc
+        plane.  None (an exact zero contribution) when that cone misses
+        the disc support entirely; otherwise the A amplitude at the disc
+        plane restricted by the disc window.
+        """
+        app, det = self.apparatus, self.detector
+        _require_detector(app, det)
+        eps = det.depth_epsilon
+        lo_edge, hi_edge = app.slit_A_interval
+        cone_lo = lo_edge + eps * (lo_edge - app.source_x) / app.L1
+        cone_hi = hi_edge + eps * (hi_edge - app.source_x) / app.L1
+        disc_lo = app.slit_B_center - det.radius_rho
+        disc_hi = app.slit_B_center + det.radius_rho
+        if cone_hi <= disc_lo or cone_lo >= disc_hi:
+            return None
+        return self._disc_capture("A")
 
     @cached_property
     def p_det(self) -> float:
         """Probability that the detector fires: disc-captured B power over
         total transmitted power (or the configured override)."""
-        app, det, part = self.apparatus, self.detector, self.particle
-        _require_detector(app, det)
+        det = self.detector
+        _require_detector(self.apparatus, det)
         if det.detection_probability_override is not None:
             return det.detection_probability_override
-        total = sum(transmitted_power(barrier_field(app, part, slit)) for slit in "AB")
+        total = sum(transmitted_power(f) for f in self._barrier.values())
         return min(max(transmitted_power(self.stub) / total, 0.0), 1.0)
 
     @cached_property
@@ -271,8 +276,7 @@ class ChannelSet:
 
     @cached_property
     def no_detector(self) -> PlaneField:
-        a, b = self.psi_a, self.psi_b
-        return PlaneField(a.z_label, a.x, a.values + b.values, a.dx)
+        return PlaneField(self._screen, self.psi_a.values + self.psi_b.values)
 
     @cached_property
     def null(self) -> PlaneField:
@@ -280,13 +284,13 @@ class ChannelSet:
         over one grid cell; psi_A alone when the window misses the screen."""
         psi_a = self.psi_a
         win = crossing_window(self.apparatus, self.detector)
-        dx = psi_a.dx
-        if not win.intersects(psi_a.grid_min - dx, psi_a.grid_max + dx):
+        x, dx = psi_a.x, psi_a.dx
+        if not win.intersects(x[0] - dx, x[-1] + dx):
             return psi_a
-        ramp_lo = (psi_a.x - (win.screen_lo - dx)) / dx
-        ramp_hi = ((win.screen_hi + dx) - psi_a.x) / dx
+        ramp_lo = (x - (win.screen_lo - dx)) / dx
+        ramp_hi = ((win.screen_hi + dx) - x) / dx
         w = np.clip(np.minimum(ramp_lo, ramp_hi), 0.0, 1.0)
-        return PlaneField(psi_a.z_label, psi_a.x, psi_a.values + w * self.stub_image.values, dx)
+        return PlaneField(psi_a.grid, psi_a.values + w * self.stub_image.values)
 
     @cached_property
     def detected(self) -> PlaneField:
@@ -294,9 +298,7 @@ class ChannelSet:
         the screen.  With nothing trapped it is the stub image itself."""
         if self.trapped is None:
             return self.stub_image
-        src = self.stub
-        both = PlaneField(src.z_label, src.x, src.values + self.trapped.values, src.dx)
-        return self._disc_to_screen(both)
+        return self._disc_to_screen(PlaneField(self._disc, self.stub.values + self.trapped.values))
 
     def unit_intensity(self, name: str) -> IntensityProfile:
         """Unit-area intensity of the named field ("null", "detected",
@@ -323,7 +325,7 @@ class ChannelSet:
         area = float(np.trapezoid(vals, self.psi_a.x))
         if not (area > 0.0):
             raise InvalidArgumentError("kick reference pattern has zero total intensity")
-        return IntensityProfile(x=self.psi_a.x, values=vals / area, dx=self.psi_a.dx, normalized=True)
+        return IntensityProfile(x=self.psi_a.x, values=vals / area, dx=self.psi_a.dx)
 
 
 def detection_probability(
@@ -348,7 +350,7 @@ def _mixture(i_null: IntensityProfile, i_det: IntensityProfile, p_det: float) ->
     if p_det == 1.0:
         return i_det
     vals = (1.0 - p_det) * i_null.values + p_det * i_det.values
-    return IntensityProfile(x=i_null.x, values=vals, dx=i_null.dx, normalized=True)
+    return IntensityProfile(x=i_null.x, values=vals, dx=i_null.dx)
 
 
 def kick_visibility_factor(d: float, photon_wavelength: float) -> float:

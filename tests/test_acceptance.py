@@ -62,10 +62,10 @@ def test_kernel_composition(desk_particle):
         center = 0.5 * (x0 + x2)
         half = 4.0 * fresnel  # grid spans 8 Fresnel widths
         grid = GridSpec(center - half, center + half, 1024, cell_centered=True)
-        x1, dx = grid.points_and_spacing()
+        x1 = grid.x
         window = np.exp(-(((x1 - center) / (0.55 * half)) ** 12))
         k1 = np.array([free_kernel(float(xx), x0, m, big_t / 2.0) for xx in x1])
-        mid = PlaneField(z_label="mid", x=x1, values=k1 * window, dx=dx)
+        mid = PlaneField(grid, k1 * window)
         out = propagate(mid, big_t / 2.0, desk_particle, GridSpec(x2 - 1.0, x2 + 1.0, 3))
         exact = free_kernel(x2, x0, m, big_t)
         worst = max(worst, abs(out.values[1] - exact) / abs(exact))

@@ -20,7 +20,7 @@ from twoslit.propagator import GridSpec, PlaneField
 
 
 def _profile(x: np.ndarray, values: np.ndarray) -> IntensityProfile:
-    return IntensityProfile(x=x, values=values, dx=float(x[1] - x[0]), normalized=False)
+    return IntensityProfile(x=x, values=values, dx=float(x[1] - x[0]))
 
 
 def _tone(cycles: float, n: int = 2048, offset: float = 1.0, amp: float = 1.0):
@@ -31,22 +31,17 @@ def _tone(cycles: float, n: int = 2048, offset: float = 1.0, amp: float = 1.0):
 
 def test_intensity_normalizes(desk_particle):
     grid = GridSpec(-2.0, 2.0, 101)
-    x, dx = grid.points_and_spacing()
-    f = PlaneField(z_label="f", x=x, values=(1.0 + x**2).astype(complex), dx=dx)
+    x = grid.x
+    f = PlaneField(grid, (1.0 + x**2).astype(complex))
     prof = intensity(f)
-    assert prof.normalized
     assert float(np.trapezoid(prof.values, x)) == pytest.approx(1.0, rel=1e-12)
-    raw = intensity(f, normalize=False)
-    assert np.array_equal(raw.values, np.abs(f.values) ** 2)
+    assert prof.x is x and prof.dx == grid.dx
 
 
 def test_intensity_zero_field():
-    grid = GridSpec(-1.0, 1.0, 16)
-    x, dx = grid.points_and_spacing()
-    f = PlaneField(z_label="f", x=x, values=np.zeros(16, dtype=complex), dx=dx)
+    f = PlaneField(GridSpec(-1.0, 1.0, 16), np.zeros(16, dtype=complex))
     with pytest.raises(InvalidArgumentError):
         intensity(f)
-    assert np.all(intensity(f, normalize=False).values == 0.0)
 
 
 def test_visibility_full_contrast():

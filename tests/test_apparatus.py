@@ -108,6 +108,8 @@ def test_validate_overlapping_slits(desk_apparatus, desk_detector, desk_particle
         {"screen_min": 10.0, "screen_max": -10.0},
         {"screen_samples": 1},
         {"aperture_samples": 0},
+        {"L1": 1e-308},  # the kernel phase over L1 is not finite
+        {"L2": 1e-308},
     ],
 )
 def test_validate_geometry_errors(desk_apparatus, desk_detector, desk_particle, patch):
@@ -164,6 +166,14 @@ def test_infinite_disc_requirement_reads_as_clamped(desk_apparatus, desk_particl
     # (rho + w) / epsilon overflows to inf at epsilon = 1e-308
     thin = make_detector(enabled=True, photon_wavelength=20.0, radius_rho=20.0, depth_epsilon=1e-308)
     assert disc_samples_required(desk_apparatus, thin, desk_particle) == 2**53
+    # the kernel phase over that depth is not finite either: an error on the key
     report = validate(desk_apparatus, thin, desk_particle)
+    assert not report.ok
+    (issue,) = report.errors()
+    assert issue.code == "infinite_phase" and issue.message.startswith("detector.depth_epsilon: ")
+    # a finite depth past the cap is clamped with a warning
+    shallow = make_detector(enabled=True, photon_wavelength=20.0, radius_rho=20.0, depth_epsilon=1e-3)
+    assert disc_samples_required(desk_apparatus, shallow, desk_particle) > DISC_N_MAX
+    report = validate(desk_apparatus, shallow, desk_particle)
     assert report.ok
     assert "disc_grid_clamped" in {i.code for i in report.warnings()}

@@ -13,8 +13,8 @@ from twoslit.apparatus import make_detector
 from twoslit.cli import main
 from twoslit.config import load_config
 from twoslit.errors import InvalidStateError
-from twoslit.propagator import PlaneField, propagate, propagate_pair
-from twoslit.scenario import ChannelSet, barrier_field, screen_grid, stub_source, trapped_a_source
+from twoslit.propagator import GridSpec, PlaneField, propagate, propagate_pair
+from twoslit.scenario import ChannelSet, barrier_field, screen_grid, stub_source
 
 REPO = Path(__file__).resolve().parent.parent
 DESK = REPO / "configs" / "desk.json"
@@ -45,9 +45,9 @@ def test_detected_image_propagates_the_disc_sum(d, desk_apparatus, desk_detector
     # at the disc, not the sum of the two screen images.
     app = desk_apparatus.with_slit_separation(d)
     stub = stub_source(app, desk_detector, desk_particle)
-    trapped = trapped_a_source(app, desk_detector, desk_particle)
+    trapped = ChannelSet(app, desk_detector, desk_particle).trapped
     if trapped is not None:
-        stub = PlaneField(z_label=stub.z_label, x=stub.x, values=stub.values + trapped.values, dx=stub.dx)
+        stub = PlaneField(stub.grid, stub.values + trapped.values)
     want = propagate(stub, app.L2 - desk_detector.depth_epsilon, desk_particle, screen_grid(app))
     cs = ChannelSet(app, desk_detector, desk_particle)
     assert np.array_equal(cs.detected.values, want.values)
@@ -73,6 +73,29 @@ def test_sweep_propagations_per_geometry(
         central_window=desk_window, local_window_width=8.0e4,
     )
     assert len(count_propagations) == 3 + 5
+
+
+def test_simulate_builds_each_grid_and_barrier_field_once(tmp_path, monkeypatch):
+    # A desk simulate builds the two barrier fields once, in its
+    # ChannelSet.  Each GridSpec computes its points once; the 9 grids
+    # are validate's 4 sampled grids, the window check's screen, and the
+    # set's screen, disc and two apertures.  Only validate asks for a
+    # uniformity verdict: building a PlaneField asks for none.
+    barrier, points, verdicts = [], [], []
+    real = scenario.barrier_field
+    monkeypatch.setattr(scenario, "barrier_field", lambda *args: barrier.append(args) or real(*args))
+    for name, log in (("x", points), ("step_error", verdicts)):
+        cached = GridSpec.__dict__[name]  # a functools.cached_property
+
+        def logged(grid, _func=cached.func, _log=log):
+            _log.append(grid)  # keeps the grid alive, so its id stays unique
+            return _func(grid)
+
+        monkeypatch.setattr(cached, "func", logged)
+    assert main(["simulate", "--config", str(DESK), "--out", str(tmp_path / "run")]) == 0
+    assert [slit for *_, slit in barrier] == ["A", "B"]
+    assert len(points) == 9 and len({id(grid) for grid in points}) == 9
+    assert len(verdicts) == 4
 
 
 @pytest.mark.parametrize("d", SEPARATIONS)

@@ -402,11 +402,15 @@ def test_overflowing_momentum_exits_3_naming_particle(tmp_path: Path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "paths"])
-def test_tiny_depth_epsilon_never_exits_1(command, tmp_path: Path):
-    # The disc-plane requirement overflows to inf; it reads as the clamp.
+@pytest.mark.parametrize("command", ["simulate", "sweep", "paths"])
+def test_tiny_depth_epsilon_never_exits_1(command, tmp_path: Path, capsys):
+    # The kernel phase over a depth of 1e-308 is not finite: validate
+    # refuses it, naming the key, before anything propagates.
     cfg = _desk_variant(tmp_path, "detector", depth_epsilon=1e-308)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) in (0, 3)
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert "detector.depth_epsilon: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -18,7 +18,6 @@ from twoslit.errors import InvalidArgumentError
 from twoslit.propagator import (
     GridSpec,
     PlaneField,
-    apply_aperture,
     free_kernel,
     point_source_field,
     propagate,
@@ -41,13 +40,13 @@ def _window_field(x0: float, x2: float, mass: float, time: float) -> PlaneField:
     center = 0.5 * (x0 + x2)
     half = 4.0 * fresnel
     grid = GridSpec(center - half, center + half, 1024, cell_centered=True)
-    x1, dx = grid.points_and_spacing()
+    x1 = grid.x
     u = (x1 - center) / half
     w = np.exp(-((u / 0.55) ** 12))
     coef = mass / time  # = m / (2 * (T/2))
     pref = cmath.sqrt(mass / (1j * math.pi * time))  # prefactor for T/2
     k1 = pref * np.exp(1j * coef * (x1 - x0) ** 2)
-    return PlaneField(z_label="mid", x=x1, values=k1 * w, dx=dx)
+    return PlaneField(grid, k1 * w)
 
 
 def test_free_kernel_value():
@@ -66,23 +65,24 @@ def test_free_kernel_domain():
 
 
 def test_grid_symmetry():
-    x, dx = GridSpec(-10.0, 10.0, 64).points_and_spacing()
-    assert np.array_equal(x, -x[::-1])
-    assert dx == pytest.approx(20.0 / 63)
-    xc, dxc = GridSpec(-10.0, 10.0, 64, cell_centered=True).points_and_spacing()
-    assert np.array_equal(xc, -xc[::-1])
-    assert dxc == pytest.approx(20.0 / 64)
-    assert xc[0] == pytest.approx(-10.0 + 0.5 * dxc)
+    nodes = GridSpec(-10.0, 10.0, 64)
+    assert np.array_equal(nodes.x, -nodes.x[::-1])
+    assert nodes.dx == pytest.approx(20.0 / 63)
+    cells = GridSpec(-10.0, 10.0, 64, cell_centered=True)
+    assert np.array_equal(cells.x, -cells.x[::-1])
+    assert cells.dx == pytest.approx(20.0 / 64)
+    assert cells.x[0] == pytest.approx(-10.0 + 0.5 * cells.dx)
+    assert not cells.x.flags.writeable
+    assert cells.x is cells.x  # built once
 
 
 def test_grid_domain():
     with pytest.raises(InvalidArgumentError):
-        GridSpec(1.0, 1.0, 8).points_and_spacing()
+        GridSpec(1.0, 1.0, 8).x
     with pytest.raises(InvalidArgumentError):
-        GridSpec(0.0, 1.0, 1).points_and_spacing()
+        GridSpec(0.0, 1.0, 1).x
     # one cell-centered point is legal (the cell midpoint)
-    x, _ = GridSpec(0.0, 1.0, 1, cell_centered=True).points_and_spacing()
-    assert x[0] == pytest.approx(0.5)
+    assert GridSpec(0.0, 1.0, 1, cell_centered=True).x[0] == pytest.approx(0.5)
 
 
 def test_point_source_is_kernel_fan(desk_particle):
@@ -108,11 +108,11 @@ def test_kernel_composition(desk_particle, x0, x2):
 def test_propagate_linear(alpha, beta):
     part = make_particle(1.0, 0.5)
     grid = GridSpec(-3.0, 3.0, 48, cell_centered=True)
-    x, dx = grid.points_and_spacing()
-    f = PlaneField(z_label="a", x=x, values=np.exp(-(x**2) + 0.7j * x), dx=dx)
-    g = PlaneField(z_label="b", x=x, values=np.cos(x) + 1j * np.sin(2 * x), dx=dx)
+    x = grid.x
+    f = PlaneField(grid, np.exp(-(x**2) + 0.7j * x))
+    g = PlaneField(grid, np.cos(x) + 1j * np.sin(2 * x))
     target = GridSpec(-20.0, 20.0, 21)
-    combo = PlaneField(z_label="c", x=x, values=alpha * f.values + beta * g.values, dx=dx)
+    combo = PlaneField(grid, alpha * f.values + beta * g.values)
     lhs = propagate(combo, 30.0, part, target).values
     rhs = alpha * propagate(f, 30.0, part, target).values + beta * propagate(g, 30.0, part, target).values
     scale = max(1.0, float(np.max(np.abs(rhs))))
@@ -121,58 +121,35 @@ def test_propagate_linear(alpha, beta):
 
 def test_propagate_domain(desk_particle):
     grid = GridSpec(-1.0, 1.0, 8, cell_centered=True)
-    x, dx = grid.points_and_spacing()
-    f = PlaneField(z_label="f", x=x, values=np.ones(8, dtype=complex), dx=dx)
+    f = PlaneField(grid, np.ones(8, dtype=complex))
     with pytest.raises(InvalidArgumentError):
         propagate(f, 0.0, desk_particle, grid)
 
 
-def test_apply_aperture():
-    x, dx = GridSpec(-4.0, 4.0, 81).points_and_spacing()
-    f = PlaneField(z_label="f", x=x, values=np.full(81, 1.0 + 0.0j), dx=dx)
-    cut = apply_aperture(f, [(-3.0, -1.0), (1.0, 3.0)])
-    inside = (np.abs(x + 2.0) <= 1.0) | (np.abs(x - 2.0) <= 1.0)
-    assert np.array_equal(cut.values != 0.0, inside)
-    assert np.all(cut.values[inside] == 1.0 + 0.0j)
-
-    blocked = apply_aperture(f, [])
-    assert np.all(blocked.values == 0.0)
-
-    with pytest.raises(InvalidArgumentError):
-        apply_aperture(f, [(1.0, 1.0)])
-    with pytest.raises(InvalidArgumentError):
-        apply_aperture(f, [(0.0, 2.0), (1.0, 3.0)])
-
-
 def test_transmitted_power():
-    x, dx = GridSpec(0.0, 1.0, 100, cell_centered=True).points_and_spacing()
-    f = PlaneField(z_label="f", x=x, values=np.full(100, 3.0j), dx=dx)
+    f = PlaneField(GridSpec(0.0, 1.0, 100, cell_centered=True), np.full(100, 3.0j))
     assert transmitted_power(f) == pytest.approx(9.0, rel=1e-12)
-    assert transmitted_power(f, (0.0, 0.5)) == pytest.approx(4.5, rel=1e-12)
 
 
 def test_plane_field_validation():
-    x, dx = GridSpec(0.0, 1.0, 4, cell_centered=True).points_and_spacing()
+    grid = GridSpec(0.0, 1.0, 4, cell_centered=True)
     with pytest.raises(InvalidArgumentError):
-        PlaneField(z_label="f", x=x, values=np.ones(3, dtype=complex), dx=dx)
+        PlaneField(grid, np.ones(3, dtype=complex))
     bad = np.ones(4, dtype=complex)
     bad[2] = np.nan
     with pytest.raises(InvalidArgumentError):
-        PlaneField(z_label="f", x=x, values=bad, dx=dx)
+        PlaneField(grid, bad)
+    f = PlaneField(grid, np.ones(4, dtype=complex))
+    assert f.x is grid.x and f.dx == grid.dx
 
 
-def test_plane_field_rejects_non_uniform_grid():
-    x, dx = GridSpec(-2e5, 2e5, 4096).points_and_spacing()
-    values = np.ones(x.size, dtype=complex)
-    PlaneField(z_label="f", x=x, values=values, dx=dx)  # GridSpec rounding is far inside the bound
-    jittered = x.copy()
-    jittered[100] += 1e-6 * dx
-    with pytest.raises(InvalidArgumentError, match="uniform"):
-        PlaneField(z_label="f", x=jittered, values=values, dx=dx)
-    with pytest.raises(InvalidArgumentError, match="uniform"):
-        PlaneField(z_label="f", x=x, values=values, dx=dx * (1.0 + 1e-6))
+def test_grid_refuses_narrow_grid_far_off_axis():
+    assert GridSpec(-2e5, 2e5, 4096).step_error is None  # rounding is far inside the bound
+    # 32 points across 0.3 bohr at 2e7 bohr: the steps round unevenly
+    far = GridSpec(2e7 - 0.15, 2e7 + 0.15, 32, cell_centered=True)
+    assert far.step_error.startswith(f"grid must be uniform with spacing dx={far.dx!r}; a step is off by ")
     # a single point has no spacing to check
-    PlaneField(z_label="f", x=x[:1], values=values[:1], dx=dx)
+    assert GridSpec(2e7 - 0.15, 2e7 + 0.15, 1, cell_centered=True).step_error is None
 
 
 def _propagate_sum_oracle(x_out, x_in, values, dx, pref, coef):
@@ -268,11 +245,12 @@ def test_chirp_z_sum_matches_direct_sum(n_in, n_out, c_in, c_out, w_in, w_out, m
     # Uniform grids as the program builds them, from one input point up;
     # coef scaled so that no phase exceeds max_phase, where the direct sum
     # is itself accurate.
-    x_in, dx = GridSpec(c_in - w_in, c_in + w_in, n_in, cell_centered=True).points_and_spacing()
+    grid_in = GridSpec(c_in - w_in, c_in + w_in, n_in, cell_centered=True)
+    x_in, dx = grid_in.x, grid_in.dx
     if n_out == 1:
         x_out = np.array([c_out])
     else:
-        x_out, _ = GridSpec(c_out - w_out, c_out + w_out, n_out).points_and_spacing()
+        x_out = GridSpec(c_out - w_out, c_out + w_out, n_out).x
     reach = max(abs(x_out[0] - x_in[-1]), abs(x_out[-1] - x_in[0]))
     coef = max_phase / reach**2 if reach > 0.0 else 0.0  # one input point on the one output
     rng = np.random.default_rng(seed)

@@ -18,15 +18,13 @@ from twoslit.scenario import (
     kick_visibility_factor,
     screen_grid,
     stub_source,
-    trapped_a_source,
 )
 
 
 def test_screen_grid(desk_apparatus):
     g = screen_grid(desk_apparatus)
     assert (g.lo, g.hi, g.n) == (-2.0e5, 2.0e5, 4096)
-    x, _ = g.points_and_spacing()
-    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(g.x, -g.x[::-1])
 
 
 def test_two_slit_is_sum_of_one_slit(desk_apparatus, desk_detector, desk_particle):
@@ -120,10 +118,10 @@ def test_stub_source_confined_to_disc(desk_apparatus, desk_detector, desk_partic
 
 def test_disc_operations_require_detector(desk_apparatus, desk_particle):
     off = make_detector(enabled=False, photon_wavelength=20.0)
-    for fn in (stub_source, trapped_a_source, detection_probability):
+    for fn in (stub_source, detection_probability):
         with pytest.raises(InvalidStateError):
             fn(desk_apparatus, off, desk_particle)
-    for name in ("null", "detected"):
+    for name in ("trapped", "null", "detected"):
         with pytest.raises(InvalidStateError):
             getattr(ChannelSet(desk_apparatus, off, desk_particle), name)
     deep = make_detector(enabled=True, photon_wavelength=20.0, depth_epsilon=2.0e5)
@@ -133,9 +131,9 @@ def test_disc_operations_require_detector(desk_apparatus, desk_particle):
 
 def test_trapped_a_gating(desk_apparatus, desk_detector, desk_particle):
     # slits 25 disc radii apart: A's cone cannot reach the disc
-    assert trapped_a_source(desk_apparatus, desk_detector, desk_particle) is None
+    assert ChannelSet(desk_apparatus, desk_detector, desk_particle).trapped is None
     close = desk_apparatus.with_slit_separation(10.0)
-    trapped = trapped_a_source(close, desk_detector, desk_particle)
+    trapped = ChannelSet(close, desk_detector, desk_particle).trapped
     assert trapped is not None
     assert np.any(np.abs(trapped.values) > 0.0)
 
