@@ -14,12 +14,13 @@ from .analysis import (
     intensity,
     local_visibility_profile,
     onset_metrics,
-    sweep_interslit,
     visibility,
 )
 from .apparatus import (
     Apparatus,
     DetectorConfig,
+    Geometry,
+    GridSpec,
     Particle,
     ValidationReport,
     cm_to_bohr,
@@ -48,7 +49,6 @@ from .paths import (
     truncate_bundle,
 )
 from .propagator import (
-    GridSpec,
     PlaneField,
     free_kernel,
     point_source_field,
@@ -62,8 +62,8 @@ from .scenario import (
     crossing_window,
     detection_probability,
     kick_visibility_factor,
-    screen_grid,
     stub_source,
+    sweep_interslit,
 )
 from .uncertainty import UncertaintyReport, packet_uncertainties
 
@@ -75,6 +75,7 @@ __all__ = [
     "ConfigError",
     "CrossingWindow",
     "DetectorConfig",
+    "Geometry",
     "GridSpec",
     "IntensityProfile",
     "InvalidArgumentError",
@@ -116,7 +117,6 @@ __all__ = [
     "point_source_field",
     "propagate",
     "sample_bundle",
-    "screen_grid",
     "stub_source",
     "sweep_interslit",
     "transmitted_power",

@@ -1,6 +1,7 @@
 """Measurements on screen intensity profiles: fringe visibility (global
 and locally windowed), fringe spacing, a closed-form far-field oracle,
-onset-of-interference statistics, and the slit-separation sweep.
+onset-of-interference statistics, and the rows of the slit-separation
+sweep (scenario.sweep_interslit fills them).
 
 Visibility here is an extremum-ensemble contrast,
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .apparatus import Apparatus, DetectorConfig, Particle, validate
+from .apparatus import Apparatus, GridSpec, Particle
 from .errors import InvalidArgumentError, NoFringesError
 from .propagator import PlaneField
 
@@ -255,9 +256,7 @@ def fraunhofer_oracle(apparatus: Apparatus, particle: Particle) -> IntensityProf
     """Closed-form far-field two-slit pattern on the screen grid:
     cos^2(pi d u) * sinc^2(w u) with u = x' / (lambda L2), x' measured
     from the projected pattern center, unit-area normalized."""
-    from .scenario import screen_grid
-
-    grid = screen_grid(apparatus)
+    grid = GridSpec(apparatus.screen_min, apparatus.screen_max, apparatus.screen_samples)
     x = grid.x
     mid = 0.5 * (apparatus.slit_A_center + apparatus.slit_B_center)
     center = mid + (mid - apparatus.source_x) * apparatus.L2 / apparatus.L1
@@ -336,49 +335,3 @@ def measure_channels(
         ),
         p_det=channels.p_det,
     )
-
-
-def sweep_interslit(
-    apparatus: Apparatus,
-    detector: DetectorConfig,
-    particle: Particle,
-    d_values: list[float],
-    central_window: tuple[float, float],
-    local_window_width: float,
-    onset_threshold: float = 0.02,
-) -> SweepTable:
-    """Run every channel at each slit separation and tabulate the
-    verdict measurements.  Every re-centered apparatus is validated
-    before any is computed; an invalid entry aborts with the offending
-    d named."""
-    from .scenario import ChannelSet
-
-    if len(d_values) == 0:
-        raise InvalidArgumentError("d_values is empty")
-    geometries = []
-    for i, d in enumerate(d_values):
-        app_d = apparatus.with_slit_separation(d)
-        report = validate(app_d, detector, particle)
-        if not report.ok:
-            issues = "; ".join(issue.message for issue in report.errors())
-            raise InvalidArgumentError(f"d_values[{i}]={d} gives invalid geometry: {issues}")
-        geometries.append(app_d)
-    rows = []
-    for d, app_d in zip(d_values, geometries):
-        m = measure_channels(
-            ChannelSet(app_d, detector, particle), central_window, local_window_width, onset_threshold
-        )
-        rows.append(
-            SweepRow(
-                d=d,
-                d_over_lambda_ph=d / detector.photon_wavelength,
-                visibility_null=m.visibility["null"],
-                visibility_det=m.visibility["detected"],
-                visibility_combined=m.visibility["combined"],
-                visibility_kick_reference=m.visibility["kick_reference"],
-                centroid_null=m.onset_null.visibility_centroid_x,
-                asymmetry_det=m.onset_detected.asymmetry_index,
-                p_det=m.p_det,
-            )
-        )
-    return SweepTable(rows=tuple(rows))

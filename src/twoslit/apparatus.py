@@ -13,12 +13,18 @@ classically at speed v):
 The detector is a disc of radius rho centered at (slit_B_center, L1 +
 epsilon), i.e. just behind slit B.  Time of flight between planes a
 distance L apart is T = L / v (paraxial reduction).
+
+A Geometry builds every grid a run samples once; validate() returns the
+one it checked, and the CLI and scenario.ChannelSet read its grids.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+
+import numpy as np
 
 from .errors import InvalidArgumentError
 
@@ -145,7 +151,7 @@ def make_detector(
 
 
 # Disc-plane quadrature: points per radian of the fastest integrand phase,
-# clamped to [DISC_N_MIN, DISC_N_MAX] samples.
+# at least DISC_N_MIN samples; above DISC_N_MAX the grid is refused (it aliases).
 _DISC_POINTS_PER_RADIAN = 4.0
 DISC_N_MIN = 128
 DISC_N_MAX = 32768
@@ -153,9 +159,9 @@ DISC_N_MAX = 32768
 
 def disc_samples_required(apparatus: Apparatus, detector: DetectorConfig, particle: Particle) -> int:
     """Disc-plane samples needed to resolve the incoming stub phase and
-    the outgoing screen phase, before the [DISC_N_MIN, DISC_N_MAX] clamp.
-    Needs depth_epsilon < L2.  A need past 2^53 (an infinite one, say,
-    from a tiny depth_epsilon) reads as 2^53."""
+    the outgoing screen phase.  Needs depth_epsilon < L2.  A need past
+    2^53 (an infinite one, say, from a tiny depth_epsilon) reads as
+    2^53."""
     rho = detector.radius_rho
     eps = detector.depth_epsilon
     a = apparatus
@@ -167,6 +173,103 @@ def disc_samples_required(apparatus: Apparatus, detector: DetectorConfig, partic
 
 
 @dataclass(frozen=True)
+class GridSpec:
+    """Uniform grid on [lo, hi].
+
+    cell_centered=False: n nodes including both endpoints (screen-type
+    grids).  cell_centered=True: n midpoints of equal cells (quadrature
+    grids for apertures and the detection disc).  Points are built
+    symmetrically about the interval midpoint so that a sign-symmetric
+    interval yields an exactly sign-symmetric point set.  The spacing
+    dx, the read-only points x and the uniformity verdict step_error are
+    each computed once, on first use.
+    """
+
+    lo: float
+    hi: float
+    n: int
+    cell_centered: bool = False
+
+    # Largest departure of a step from dx, relative to dx.  Rounding
+    # leaves ~1e-12; the chirp-z propagation assumes uniform grids.
+    _RTOL = 1e-9
+
+    @cached_property
+    def dx(self) -> float:
+        if not (self.hi > self.lo):
+            raise InvalidArgumentError(f"grid bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
+        if self.n < 1 or (not self.cell_centered and self.n < 2):
+            raise InvalidArgumentError(f"grid needs at least {1 if self.cell_centered else 2} points, got {self.n}")
+        return (self.hi - self.lo) / (self.n if self.cell_centered else self.n - 1)
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        offsets = np.arange(self.n, dtype=np.float64) - 0.5 * (self.n - 1)
+        x = 0.5 * (self.lo + self.hi) + offsets * self.dx
+        x.setflags(write=False)
+        return x
+
+    @cached_property
+    def step_error(self) -> str | None:
+        """Why the points are not uniform to _RTOL of dx (far off axis,
+        rounding can space a narrow grid unevenly), or None."""
+        off = np.abs(np.diff(self.x) - self.dx)
+        if np.all(off <= self._RTOL * abs(self.dx)):
+            return None
+        worst = float(np.max(off))
+        return f"grid must be uniform with spacing dx={self.dx!r}; a step is off by {worst!r}"
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """One run's apparatus, detector and particle, and every grid a run
+    of them samples, each built on first use and kept."""
+
+    apparatus: Apparatus
+    detector: DetectorConfig
+    particle: Particle
+
+    @cached_property
+    def screen(self) -> GridSpec:
+        a = self.apparatus
+        return GridSpec(a.screen_min, a.screen_max, a.screen_samples)
+
+    @cached_property
+    def apertures(self) -> dict[str, GridSpec]:
+        """Midpoint quadrature grid across each slit, keyed "A" and "B"."""
+        a = self.apparatus
+        return {
+            slit: GridSpec(lo, hi, a.aperture_samples, cell_centered=True)
+            for slit, (lo, hi) in (("A", a.slit_A_interval), ("B", a.slit_B_interval))
+        }
+
+    @cached_property
+    def disc_need(self) -> int | None:
+        """disc_samples_required, or None when there is no disc to
+        sample: the detector is off, or depth_epsilon >= L2."""
+        a, det = self.apparatus, self.detector
+        if not (det.enabled and det.depth_epsilon < a.L2):
+            return None
+        return disc_samples_required(a, det, self.particle)
+
+    @cached_property
+    def disc(self) -> GridSpec | None:
+        """Disc-plane grid of disc_need samples (at least DISC_N_MIN), or
+        None with no disc; refused when the need exceeds DISC_N_MAX."""
+        need = self.disc_need
+        if need is None:
+            return None
+        if need > DISC_N_MAX:
+            raise InvalidArgumentError(
+                f"detector.depth_epsilon, detector.radius_rho: resolving the disc-plane phase "
+                f"needs {need} samples, more than the cap of {DISC_N_MAX}; a larger depth_epsilon "
+                f"or a smaller radius_rho needs fewer"
+            )
+        x_b, rho = self.apparatus.slit_B_center, self.detector.radius_rho
+        return GridSpec(x_b - rho, x_b + rho, max(need, DISC_N_MIN), cell_centered=True)
+
+
+@dataclass(frozen=True)
 class Issue:
     severity: str  # "error" | "warning"
     code: str
@@ -175,6 +278,7 @@ class Issue:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    geometry: Geometry
     issues: tuple[Issue, ...] = field(default=())
 
     @property
@@ -189,11 +293,13 @@ class ValidationReport:
 
 
 def validate(apparatus: Apparatus, detector: DetectorConfig, particle: Particle) -> ValidationReport:
-    """Check every configuration invariant; findings go in the report.
+    """Check every configuration invariant and the geometry's grids; the
+    findings and that Geometry go in the report.
 
     Errors mark configurations no downstream operation accepts; warnings
     flag regimes where results are numerically or physically suspect.
     """
+    geometry = Geometry(apparatus, detector, particle)
     issues: list[Issue] = []
 
     def err(code: str, message: str) -> None:
@@ -228,14 +334,21 @@ def validate(apparatus: Apparatus, detector: DetectorConfig, particle: Particle)
             err("nonpositive_photon_wavelength",
                 f"photon_wavelength must be > 0, got {detector.photon_wavelength}")
 
-    # Every grid a run samples must be uniform (the chirp-z propagation
+    # The disc grid must resolve its phase within DISC_N_MAX samples, and
+    # every grid a run samples must be uniform (the chirp-z propagation
     # assumes it); far off axis, rounding can space narrow grids unevenly.
     # Every propagation's largest kernel phase p*dx^2/(2L), over the
-    # spans it connects, must be a double: past that the fields are NaN.
+    # spans it connects, must be below 2^53 rad: past that a double keeps
+    # no digit of it modulo 2 pi.
     if not issues:
-        from .scenario import sampled_grids
-
-        for key, name, grid in sampled_grids(a, detector, particle):
+        grids = [(f"apparatus.slit_{s}_center", f"slit {s} aperture", g) for s, g in geometry.apertures.items()]
+        grids.append(("apparatus.screen_samples", "screen", geometry.screen))
+        try:
+            if geometry.disc is not None:
+                grids.append(("detector.radius_rho", "detection-disc", geometry.disc))
+        except InvalidArgumentError as exc:
+            err("unresolved_disc_grid", str(exc))
+        for key, name, grid in grids:
             if grid.step_error is not None:
                 err("nonuniform_grid", f"{key}: the {name} {grid.step_error}")
         slits = (a.slit_A_interval[0], a.slit_B_interval[1])
@@ -244,7 +357,7 @@ def validate(apparatus: Apparatus, detector: DetectorConfig, particle: Particle)
             ("apparatus.L1", a.L1, (a.source_x, a.source_x), slits),
             ("apparatus.L2", a.L2, slits, screen),
         ]
-        if detector.enabled and detector.depth_epsilon < a.L2:
+        if geometry.disc_need is not None:
             eps, rho = detector.depth_epsilon, detector.radius_rho
             disc = (a.slit_B_center - rho, a.slit_B_center + rho)
             legs += [
@@ -254,8 +367,9 @@ def validate(apparatus: Apparatus, detector: DetectorConfig, particle: Particle)
         for key, L, (in_lo, in_hi), (out_lo, out_hi) in legs:
             reach = max(abs(out_hi - in_lo), abs(in_hi - out_lo))
             phase = particle.momentum * reach * reach / (2.0 * L)
-            if not math.isfinite(phase):
-                err("infinite_phase", f"{key}: the kernel phase p*dx^2/(2L) over L={L!r} is {phase!r}, not finite")
+            if not phase < 2.0**53:
+                err("phase_too_large",
+                    f"{key}: the kernel phase p*dx^2/(2L) over L={L!r} is {phase!r} rad, not below 2^53")
 
     # Warnings are only meaningful on an otherwise sound geometry.
     if not [i for i in issues if i.severity == "error"]:
@@ -276,14 +390,6 @@ def validate(apparatus: Apparatus, detector: DetectorConfig, particle: Particle)
                 f"detector does not cover slit B: radius_rho={detector.radius_rho} "
                 f"< slit_width/2={0.5 * a.slit_width}",
             )
-        if detector.enabled and detector.depth_epsilon < a.L2:
-            need = disc_samples_required(a, detector, particle)
-            if need > DISC_N_MAX:
-                warn(
-                    "disc_grid_clamped",
-                    f"disc grid clamped: resolving the disc-plane phase needs {need} samples, "
-                    f"the cap is {DISC_N_MAX}",
-                )
         fresnel = a.slit_width**2 / (lam * a.L2)
         if fresnel > 0.1:
             warn(
@@ -291,4 +397,4 @@ def validate(apparatus: Apparatus, detector: DetectorConfig, particle: Particle)
                 f"far-field oracle inapplicable: Fresnel number w^2/(lambda*L2) = {fresnel:.6g} > 0.1",
             )
 
-    return ValidationReport(issues=tuple(issues))
+    return ValidationReport(geometry=geometry, issues=tuple(issues))

@@ -7,12 +7,12 @@ ignored: the numpy kernels take no worker count, and results never
 depended on it).
 
 The CLI parses, dispatches, serializes and writes.  simulate measures
-one scenario.ChannelSet with analysis.measure_channels: 3 propagations
-(the slit pair counts as one), 5 when slit A's cone reaches the disc, 1
-with the detector off.  sweep validates every d_values entry, then does
-the same per entry; both first check that analysis.central_window holds
-enough screen samples and, with the detector on, that
-analysis.local_window_width spans enough of them.
+the ChannelSet of the Geometry validate returns (analysis.measure_channels):
+3 propagations (the slit pair counts as one), 5 when slit A's cone
+reaches the disc, 1 with the detector off.  scenario.sweep_interslit does
+the same per validated d_values entry; both first check, on that screen
+grid, that analysis.central_window holds enough screen samples and, with
+the detector on, that analysis.local_window_width spans enough of them.
 paths writes the bundles and crossing counts of paths.experiment_paths
 and runs no propagation.
 
@@ -36,6 +36,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import __version__, analysis, scenario
 from . import paths as paths_mod
-from .apparatus import ValidationReport, validate
+from .apparatus import Geometry, ValidationReport, make_particle, validate
 from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
@@ -138,11 +139,11 @@ def _validated(cfg: RunConfig) -> ValidationReport:
     return report
 
 
-def _check_window(cfg: RunConfig) -> None:
+def _check_window(cfg: RunConfig, geometry: Geometry) -> None:
     """Refuse a central window with too few screen samples, or (with the
     detector on) a local window narrower than the onset statistics
     accept, before any propagation."""
-    screen = scenario.screen_grid(cfg.apparatus)
+    screen = geometry.screen
     ana = cfg.analysis
     try:
         analysis.window_mask(screen.x, ana.central_window)
@@ -158,11 +159,11 @@ def _check_window(cfg: RunConfig) -> None:
 def _simulate_artifacts(cfg: RunConfig) -> dict[str, list[str]]:
     """Compute every simulate artifact as text chunks; raises before
     writing anything on any failure."""
-    app, det, part, ana = cfg.apparatus, cfg.detector, cfg.particle, cfg.analysis
+    det, ana = cfg.detector, cfg.analysis
     report = _validated(cfg)
-    _check_window(cfg)
+    _check_window(cfg, report.geometry)
 
-    channels = scenario.ChannelSet(app, det, part)
+    channels = scenario.ChannelSet(report.geometry)
     i_two = analysis.intensity(channels.no_detector)
     x = i_two.x
 
@@ -214,10 +215,9 @@ def _sweep_artifacts(cfg: RunConfig) -> dict[str, list[str]]:
         raise ConfigError("sweep.d_values", "missing required key for the sweep command")
     if len(cfg.sweep_d_values) < 2:
         raise ConfigError("sweep.d_values", "need at least 2 entries")
-    _validated(cfg)
-    _check_window(cfg)
+    _check_window(cfg, _validated(cfg).geometry)
     ana = cfg.analysis
-    table = analysis.sweep_interslit(
+    table = scenario.sweep_interslit(
         cfg.apparatus,
         cfg.detector,
         cfg.particle,
@@ -276,8 +276,6 @@ def _paths_artifacts(cfg: RunConfig, seed_override: int | None) -> dict[str, lis
 
 
 def cmd_uncertainty(confinement_size: float, mass: float, kinetic_energy: float) -> int:
-    from .apparatus import make_particle
-
     particle = make_particle(mass=mass, kinetic_energy=kinetic_energy)
     rep = packet_uncertainties(particle, confinement_size)
     payload = {
@@ -323,8 +321,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.out is not None:
-            from dataclasses import replace
-
             cfg = replace(cfg, output=replace(cfg.output, directory=args.out))
         if args.command == "simulate":
             artifacts = _simulate_artifacts(cfg)

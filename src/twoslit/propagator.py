@@ -20,9 +20,10 @@ by direct sums, because a visibility verdict hangs on their exact tie
 count and on every run.
 
 A PlaneField is values on the points of one GridSpec, so its x and dx
-cannot disagree.  The chirp-z path needs uniform grids: a grid's points
-lie dx apart up to rounding, and apparatus.validate asks every grid a
-run samples for its step_error verdict before anything propagates.
+cannot disagree; GridSpec and the Geometry that builds a run's grids live
+in apparatus.  The chirp-z path needs uniform grids: a grid's points lie
+dx apart up to rounding, and apparatus.validate asks every grid of a
+geometry for its step_error verdict before anything propagates.
 """
 
 from __future__ import annotations
@@ -30,61 +31,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import kernels
-from .apparatus import Particle
+from .apparatus import GridSpec, Particle
 from .errors import InvalidArgumentError
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid on [lo, hi].
-
-    cell_centered=False: n nodes including both endpoints (screen-type
-    grids).  cell_centered=True: n midpoints of equal cells (quadrature
-    grids for apertures and the detection disc).  Points are built
-    symmetrically about the interval midpoint so that a sign-symmetric
-    interval yields an exactly sign-symmetric point set.  The spacing
-    dx, the read-only points x and the uniformity verdict step_error are
-    each computed once, on first use.
-    """
-
-    lo: float
-    hi: float
-    n: int
-    cell_centered: bool = False
-
-    # Largest departure of a step from dx, relative to dx.  Rounding
-    # leaves ~1e-12; the chirp-z propagation assumes uniform grids.
-    _RTOL = 1e-9
-
-    @cached_property
-    def dx(self) -> float:
-        if not (self.hi > self.lo):
-            raise InvalidArgumentError(f"grid bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
-        if self.n < 1 or (not self.cell_centered and self.n < 2):
-            raise InvalidArgumentError(f"grid needs at least {1 if self.cell_centered else 2} points, got {self.n}")
-        return (self.hi - self.lo) / (self.n if self.cell_centered else self.n - 1)
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        offsets = np.arange(self.n, dtype=np.float64) - 0.5 * (self.n - 1)
-        x = 0.5 * (self.lo + self.hi) + offsets * self.dx
-        x.setflags(write=False)
-        return x
-
-    @cached_property
-    def step_error(self) -> str | None:
-        """Why the points are not uniform to _RTOL of dx (far off axis,
-        rounding can space a narrow grid unevenly), or None."""
-        off = np.abs(np.diff(self.x) - self.dx)
-        if np.all(off <= self._RTOL * abs(self.dx)):
-            return None
-        worst = float(np.max(off))
-        return f"grid must be uniform with spacing dx={self.dx!r}; a step is off by {worst!r}"
 
 
 @dataclass(frozen=True)

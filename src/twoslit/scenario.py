@@ -1,6 +1,6 @@
 """Screen amplitudes of one apparatus geometry, built by ChannelSet:
 the two-slit pattern, the null- and detected-measurement channels,
-their probabilistic mixture, and a momentum-kick reference model.
+their probabilistic mixture, a momentum-kick reference model, and sweeps.
 
 Channel construction
 --------------------
@@ -20,11 +20,11 @@ kick_reference   |psi_A|^2 + |psi_B|^2 + 2*gamma*Re(psi_A conj(psi_B))
                  independent decoherence surrogate used as an oracle
 
 The channels are PlaneFields on the set's screen grid; the detection
-probability p_det weighs them in the mixture.  A ChannelSet builds the
-screen grid, the disc grid and the two barrier fields (each slit's
-source amplitude across its aperture) once; the slit pair, p_det, the
-stub and the trapped capture all read them.  It propagates each field
-once, in order: psi_A and psi_B at the screen, as one pair; the B stub
+probability p_det weighs them in the mixture.  A ChannelSet reads the
+grids of one apparatus.Geometry and builds the two barrier fields (each
+slit's source amplitude across its aperture) once; the slit pair, p_det,
+the stub and the trapped capture all read them.  It propagates each
+field once, in order: psi_A and psi_B at the screen, as one pair; the B stub
 at the disc (p_det from its power, or the override); the trapped A
 field at the disc, only when A's cone reaches it; the stub's screen
 image (stub_image, also the detected channel's no-interference
@@ -54,18 +54,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import IntensityProfile, intensity
-from .apparatus import (
-    DISC_N_MAX,
-    DISC_N_MIN,
-    Apparatus,
-    DetectorConfig,
-    Particle,
-    disc_samples_required,
-)
+from .analysis import IntensityProfile, SweepRow, SweepTable, intensity, measure_channels
+from .apparatus import Apparatus, DetectorConfig, Geometry, Particle, validate
 from .errors import InvalidArgumentError, InvalidStateError
 from .propagator import (
-    GridSpec,
     PlaneField,
     point_source_field,
     propagate,
@@ -94,26 +86,12 @@ class CrossingWindow:
         return self.screen_hi >= lo and self.screen_lo <= hi
 
 
-def screen_grid(apparatus: Apparatus) -> GridSpec:
-    return GridSpec(apparatus.screen_min, apparatus.screen_max, apparatus.screen_samples)
-
-
-def _aperture_grid(apparatus: Apparatus, interval: tuple[float, float]) -> GridSpec:
-    lo, hi = interval
-    return GridSpec(lo, hi, apparatus.aperture_samples, cell_centered=True)
-
-
-def barrier_field(apparatus: Apparatus, particle: Particle, slit: str) -> PlaneField:
+def barrier_field(geometry: Geometry, slit: str) -> PlaneField:
     """Source amplitude across one slit aperture at the barrier plane."""
-    if slit == "A":
-        interval = apparatus.slit_A_interval
-    elif slit == "B":
-        interval = apparatus.slit_B_interval
-    else:
+    if slit not in ("A", "B"):
         raise InvalidArgumentError(f"slit must be 'A' or 'B', got {slit!r}")
-    return point_source_field(
-        apparatus.source_x, _aperture_grid(apparatus, interval), apparatus.L1, particle
-    )
+    a = geometry.apparatus
+    return point_source_field(a.source_x, geometry.apertures[slit], a.L1, geometry.particle)
 
 
 def disc_window(u: np.ndarray) -> np.ndarray:
@@ -128,31 +106,6 @@ def disc_window(u: np.ndarray) -> np.ndarray:
     return w
 
 
-def _disc_grid(apparatus: Apparatus, detector: DetectorConfig, particle: Particle) -> GridSpec:
-    """Disc-plane grid fine enough for the incoming stub phase and the
-    outgoing screen phase, within the sample-count clamp (validate warns
-    when the clamp bites)."""
-    n = min(max(disc_samples_required(apparatus, detector, particle), DISC_N_MIN), DISC_N_MAX)
-    x_b, rho = apparatus.slit_B_center, detector.radius_rho
-    return GridSpec(x_b - rho, x_b + rho, n, cell_centered=True)
-
-
-def sampled_grids(
-    apparatus: Apparatus, detector: DetectorConfig, particle: Particle
-) -> list[tuple[str, str, GridSpec]]:
-    """(config key, name, grid) of every grid a run of this geometry
-    samples: the slit apertures, the screen and, with the detector on,
-    the disc."""
-    grids = [
-        ("apparatus.slit_A_center", "slit A aperture", _aperture_grid(apparatus, apparatus.slit_A_interval)),
-        ("apparatus.slit_B_center", "slit B aperture", _aperture_grid(apparatus, apparatus.slit_B_interval)),
-        ("apparatus.screen_samples", "screen", screen_grid(apparatus)),
-    ]
-    if detector.enabled and detector.depth_epsilon < apparatus.L2:
-        grids.append(("detector.radius_rho", "detection-disc", _disc_grid(apparatus, detector, particle)))
-    return grids
-
-
 def _require_detector(apparatus: Apparatus, detector: DetectorConfig) -> None:
     if not detector.enabled:
         raise InvalidStateError("detector is disabled")
@@ -165,7 +118,7 @@ def _require_detector(apparatus: Apparatus, detector: DetectorConfig) -> None:
 def stub_source(apparatus: Apparatus, detector: DetectorConfig, particle: Particle) -> PlaneField:
     """Slit-B amplitude carried to the disc plane and terminated there
     (see ChannelSet.stub)."""
-    return ChannelSet(apparatus, detector, particle).stub
+    return ChannelSet(Geometry(apparatus, detector, particle)).stub
 
 
 def crossing_window(apparatus: Apparatus, detector: DetectorConfig) -> CrossingWindow:
@@ -187,39 +140,35 @@ def crossing_window(apparatus: Apparatus, detector: DetectorConfig) -> CrossingW
 
 
 class ChannelSet:
-    """Every channel of one apparatus geometry.  Each grid, field and
-    channel is computed on first use and kept, so the screen grid, the
-    disc grid and each slit's barrier field are built once and each
-    distinct propagation runs at most once; a set shares nothing with
-    any other set."""
+    """Every channel of one geometry.  Each field and channel is computed
+    on first use and kept, so each slit's barrier field is built once
+    and each distinct propagation runs at most once; the grids are the
+    geometry's.  A set shares nothing with any other set but its
+    geometry."""
 
-    def __init__(self, apparatus: Apparatus, detector: DetectorConfig, particle: Particle):
-        self.apparatus, self.detector, self.particle = apparatus, detector, particle
-        self._screen = screen_grid(apparatus)
+    def __init__(self, geometry: Geometry):
+        self.geometry = geometry
+        self.apparatus, self.detector, self.particle = geometry.apparatus, geometry.detector, geometry.particle
         self._unit_intensities: dict[int, IntensityProfile] = {}  # by id of a kept field
 
     @cached_property
-    def _disc(self) -> GridSpec:
-        return _disc_grid(self.apparatus, self.detector, self.particle)
-
-    @cached_property
     def _barrier(self) -> dict[str, PlaneField]:
-        return {slit: barrier_field(self.apparatus, self.particle, slit) for slit in "AB"}
+        return {slit: barrier_field(self.geometry, slit) for slit in "AB"}
 
     def _disc_capture(self, slit: str) -> PlaneField:
         """One slit's amplitude carried over epsilon to the disc window."""
         det = self.detector
-        f = propagate(self._barrier[slit], det.depth_epsilon, self.particle, self._disc)
+        f = propagate(self._barrier[slit], det.depth_epsilon, self.particle, self.geometry.disc)
         w = disc_window((f.x - self.apparatus.slit_B_center) / det.radius_rho)
         return PlaneField(f.grid, f.values * w)
 
     def _disc_to_screen(self, source: PlaneField) -> PlaneField:
         L = self.apparatus.L2 - self.detector.depth_epsilon
-        return propagate(source, L, self.particle, self._screen)
+        return propagate(source, L, self.particle, self.geometry.screen)
 
     @cached_property
     def _psi_pair(self) -> tuple[PlaneField, PlaneField]:
-        return propagate_pair(*self._barrier.values(), self.apparatus.L2, self.particle, self._screen)
+        return propagate_pair(*self._barrier.values(), self.apparatus.L2, self.particle, self.geometry.screen)
 
     @property
     def psi_a(self) -> PlaneField:
@@ -252,9 +201,8 @@ class ChannelSet:
         lo_edge, hi_edge = app.slit_A_interval
         cone_lo = lo_edge + eps * (lo_edge - app.source_x) / app.L1
         cone_hi = hi_edge + eps * (hi_edge - app.source_x) / app.L1
-        disc_lo = app.slit_B_center - det.radius_rho
-        disc_hi = app.slit_B_center + det.radius_rho
-        if cone_hi <= disc_lo or cone_lo >= disc_hi:
+        disc = self.geometry.disc
+        if cone_hi <= disc.lo or cone_lo >= disc.hi:
             return None
         return self._disc_capture("A")
 
@@ -276,7 +224,7 @@ class ChannelSet:
 
     @cached_property
     def no_detector(self) -> PlaneField:
-        return PlaneField(self._screen, self.psi_a.values + self.psi_b.values)
+        return PlaneField(self.geometry.screen, self.psi_a.values + self.psi_b.values)
 
     @cached_property
     def null(self) -> PlaneField:
@@ -298,7 +246,7 @@ class ChannelSet:
         the screen.  With nothing trapped it is the stub image itself."""
         if self.trapped is None:
             return self.stub_image
-        return self._disc_to_screen(PlaneField(self._disc, self.stub.values + self.trapped.values))
+        return self._disc_to_screen(PlaneField(self.geometry.disc, self.stub.values + self.trapped.values))
 
     def unit_intensity(self, name: str) -> IntensityProfile:
         """Unit-area intensity of the named field ("null", "detected",
@@ -332,7 +280,7 @@ def detection_probability(
     apparatus: Apparatus, detector: DetectorConfig, particle: Particle
 ) -> float:
     """Probability that the detector fires (see ChannelSet.p_det)."""
-    return ChannelSet(apparatus, detector, particle).p_det
+    return ChannelSet(Geometry(apparatus, detector, particle)).p_det
 
 
 def combined_intensity(null: PlaneField, det: PlaneField, p_det: float) -> IntensityProfile:
@@ -358,3 +306,43 @@ def kick_visibility_factor(d: float, photon_wavelength: float) -> float:
     u = math.pi * d / photon_wavelength
     return math.exp(-0.5 * u * u)
 
+
+def sweep_interslit(
+    apparatus: Apparatus,
+    detector: DetectorConfig,
+    particle: Particle,
+    d_values: list[float],
+    central_window: tuple[float, float],
+    local_window_width: float,
+    onset_threshold: float = 0.02,
+) -> SweepTable:
+    """Run every channel at each slit separation and tabulate the
+    verdict measurements.  Every re-centered apparatus is validated
+    before any is computed; an invalid entry aborts with the offending
+    d named; then one ChannelSet at a time measures each geometry."""
+    if len(d_values) == 0:
+        raise InvalidArgumentError("d_values is empty")
+    geometries = []
+    for i, d in enumerate(d_values):
+        report = validate(apparatus.with_slit_separation(d), detector, particle)
+        if not report.ok:
+            issues = "; ".join(issue.message for issue in report.errors())
+            raise InvalidArgumentError(f"d_values[{i}]={d} gives invalid geometry: {issues}")
+        geometries.append(report.geometry)
+    rows = []
+    for d in d_values:  # each geometry's grids are freed once it is measured
+        m = measure_channels(ChannelSet(geometries.pop(0)), central_window, local_window_width, onset_threshold)
+        rows.append(
+            SweepRow(
+                d=d,
+                d_over_lambda_ph=d / detector.photon_wavelength,
+                visibility_null=m.visibility["null"],
+                visibility_det=m.visibility["detected"],
+                visibility_combined=m.visibility["combined"],
+                visibility_kick_reference=m.visibility["kick_reference"],
+                centroid_null=m.onset_null.visibility_centroid_x,
+                asymmetry_det=m.onset_detected.asymmetry_index,
+                p_det=m.p_det,
+            )
+        )
+    return SweepTable(rows=tuple(rows))

@@ -19,14 +19,19 @@ from twoslit.analysis import (
     fringe_spacing,
     intensity,
     onset_metrics,
-    sweep_interslit,
     visibility,
 )
-from twoslit.apparatus import Apparatus, make_detector, make_particle
+from twoslit.apparatus import Apparatus, Geometry, make_detector, make_particle
 from twoslit.cli import main
 from twoslit.paths import SpacetimeEvent, mc_kernel_estimate
 from twoslit.propagator import GridSpec, PlaneField, free_kernel, propagate
-from twoslit.scenario import ChannelSet, combined_intensity, crossing_window, kick_visibility_factor
+from twoslit.scenario import (
+    ChannelSet,
+    combined_intensity,
+    crossing_window,
+    kick_visibility_factor,
+    sweep_interslit,
+)
 from twoslit.uncertainty import packet_uncertainties
 
 REPO = Path(__file__).resolve().parent.parent
@@ -106,7 +111,7 @@ def test_path_sum_estimator(desk_particle):
 
 
 def test_two_slit_fringes(desk_apparatus, desk_detector, desk_particle, desk_window):
-    prof = intensity(ChannelSet(desk_apparatus, desk_detector, desk_particle).no_detector)
+    prof = intensity(ChannelSet(Geometry(desk_apparatus, desk_detector, desk_particle)).no_detector)
     want = desk_particle.de_broglie_wavelength * desk_apparatus.L2 / desk_apparatus.slit_separation
     spacing = fringe_spacing(prof)
     spacing_err = abs(spacing - want) / want
@@ -123,9 +128,9 @@ def test_two_slit_fringes(desk_apparatus, desk_detector, desk_particle, desk_win
 
 def test_fringe_disappearance(desk_apparatus, desk_detector, desk_particle, desk_window):
     far = desk_apparatus.with_slit_separation(100.0 * desk_detector.radius_rho)
-    cs = ChannelSet(far, desk_detector, desk_particle)
+    cs = ChannelSet(Geometry(far, desk_detector, desk_particle))
     vis = visibility(combined_intensity(cs.null, cs.detected, cs.p_det), desk_window)
-    psi_a = ChannelSet(far, desk_detector, desk_particle).psi_a
+    psi_a = ChannelSet(Geometry(far, desk_detector, desk_particle)).psi_a
     bitwise = bool(np.array_equal(cs.null.values, psi_a.values))
     ok = vis < 0.01 and bitwise
     _verdict(
@@ -160,7 +165,7 @@ def test_onset_enters_from_crossing_side(desk_apparatus, desk_detector, desk_par
     ]
     d_edge = max(on_screen)
     app = desk_apparatus.with_slit_separation(d_edge)
-    cs = ChannelSet(app, desk_detector, desk_particle)
+    cs = ChannelSet(Geometry(app, desk_detector, desk_particle))
     null = intensity(cs.null)
     base = intensity(cs.psi_a)
     rep = onset_metrics(null, base, window_width=8.0e4)
@@ -175,7 +180,7 @@ def test_onset_enters_from_crossing_side(desk_apparatus, desk_detector, desk_par
 
 def test_onset_balances_when_detected(desk_apparatus, desk_detector, desk_particle):
     app = desk_apparatus.with_slit_separation(0.5 * desk_detector.radius_rho)
-    cs = ChannelSet(app, desk_detector, desk_particle)
+    cs = ChannelSet(Geometry(app, desk_detector, desk_particle))
     det = intensity(cs.detected)
     base = intensity(cs.stub_image)
     rep = onset_metrics(det, base, window_width=8.0e4)
@@ -222,7 +227,7 @@ def test_kick_visibility_oracle(desk_particle):
         )
         det = make_detector(enabled=True, photon_wavelength=lam_ph, radius_rho=20.0, depth_epsilon=5.0)
         vis = visibility(
-            ChannelSet(app, det, desk_particle).kick_reference, (-10.0 * spacing, 10.0 * spacing)
+            ChannelSet(Geometry(app, det, desk_particle)).kick_reference, (-10.0 * spacing, 10.0 * spacing)
         )
         worst = max(worst, abs(vis - kick_visibility_factor(d, lam_ph)))
     tiny = kick_visibility_factor(500.0, 500.0)

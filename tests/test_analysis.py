@@ -12,11 +12,11 @@ from twoslit.analysis import (
     intensity,
     local_visibility_profile,
     onset_metrics,
-    sweep_interslit,
     visibility,
 )
 from twoslit.errors import InvalidArgumentError, NoFringesError
 from twoslit.propagator import GridSpec, PlaneField
+from twoslit.scenario import sweep_interslit
 
 
 def _profile(x: np.ndarray, values: np.ndarray) -> IntensityProfile:

@@ -8,6 +8,7 @@ from twoslit.apparatus import (
     BOHR_PER_CM,
     DISC_N_MAX,
     Apparatus,
+    Geometry,
     cm_to_bohr,
     disc_samples_required,
     make_detector,
@@ -110,6 +111,7 @@ def test_validate_overlapping_slits(desk_apparatus, desk_detector, desk_particle
         {"aperture_samples": 0},
         {"L1": 1e-308},  # the kernel phase over L1 is not finite
         {"L2": 1e-308},
+        {"L1": 1e-200},  # the kernel phase over L1 is ~3e204 rad, past 2^53
     ],
 )
 def test_validate_geometry_errors(desk_apparatus, desk_detector, desk_particle, patch):
@@ -143,23 +145,34 @@ def test_validate_warnings(desk_apparatus, desk_particle):
     codes = {i.code for i in validate(coarse, det, desk_particle).warnings()}
     assert "aliasing_risk" in codes
 
+    # With the detector on, this disc needs ~1.6e5 samples, past the cap
+    # (an error); the near-field warning is a property of the slits alone.
     near = dataclasses.replace(desk_apparatus, slit_width=5000.0, slit_A_center=-10000.0, slit_B_center=10000.0)
-    codes = {i.code for i in validate(near, det, desk_particle).warnings()}
+    off = dataclasses.replace(det, enabled=False)
+    codes = {i.code for i in validate(near, off, desk_particle).warnings()}
     assert "near_field" in codes
 
 
 def test_validate_warns_when_disc_grid_is_clamped(desk_apparatus, desk_particle):
+    # A disc need past the cap is no longer clamped with a warning: it
+    # is an error naming both detector keys, and the geometry refuses
+    # to build that disc grid.
     det = make_detector(enabled=True, photon_wavelength=20.0, radius_rho=20.0, depth_epsilon=5.0)
     assert disc_samples_required(desk_apparatus, det, desk_particle) == 993
-    assert "disc_grid_clamped" not in {i.code for i in validate(desk_apparatus, det, desk_particle).warnings()}
+    report = validate(desk_apparatus, det, desk_particle)
+    assert report.ok and report.geometry.disc.n == 993
 
     wide = make_detector(enabled=True, photon_wavelength=20.0, radius_rho=1000.0, depth_epsilon=5.0)
     need = disc_samples_required(desk_apparatus, wide, desk_particle)
     assert need > DISC_N_MAX
     report = validate(desk_apparatus, wide, desk_particle)
-    assert report.ok
-    (issue,) = [i for i in report.warnings() if i.code == "disc_grid_clamped"]
+    (issue,) = report.errors()
+    assert issue.code == "unresolved_disc_grid"
+    assert issue.message.startswith("detector.depth_epsilon, detector.radius_rho: ")
     assert str(need) in issue.message and str(DISC_N_MAX) in issue.message
+    assert report.warnings() == []
+    with pytest.raises(InvalidArgumentError, match="detector.depth_epsilon"):
+        Geometry(desk_apparatus, wide, desk_particle).disc
 
 
 def test_infinite_disc_requirement_reads_as_clamped(desk_apparatus, desk_particle):
@@ -167,13 +180,14 @@ def test_infinite_disc_requirement_reads_as_clamped(desk_apparatus, desk_particl
     thin = make_detector(enabled=True, photon_wavelength=20.0, radius_rho=20.0, depth_epsilon=1e-308)
     assert disc_samples_required(desk_apparatus, thin, desk_particle) == 2**53
     # the kernel phase over that depth is not finite either: an error on the key
+    # that need is past the cap, and the kernel phase over that depth is
+    # not finite either: two errors, each naming the key
     report = validate(desk_apparatus, thin, desk_particle)
-    assert not report.ok
-    (issue,) = report.errors()
-    assert issue.code == "infinite_phase" and issue.message.startswith("detector.depth_epsilon: ")
-    # a finite depth past the cap is clamped with a warning
+    unresolved, phase = report.errors()
+    assert unresolved.code == "unresolved_disc_grid" and str(2**53) in unresolved.message
+    assert phase.code == "phase_too_large" and phase.message.startswith("detector.depth_epsilon: ")
+    # a finite depth past the cap is refused the same way
     shallow = make_detector(enabled=True, photon_wavelength=20.0, radius_rho=20.0, depth_epsilon=1e-3)
     assert disc_samples_required(desk_apparatus, shallow, desk_particle) > DISC_N_MAX
-    report = validate(desk_apparatus, shallow, desk_particle)
-    assert report.ok
-    assert "disc_grid_clamped" in {i.code for i in report.warnings()}
+    (issue,) = validate(desk_apparatus, shallow, desk_particle).errors()
+    assert issue.code == "unresolved_disc_grid" and "detector.depth_epsilon" in issue.message

@@ -7,14 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twoslit import scenario
-from twoslit.analysis import intensity, measure_channels, sweep_interslit
-from twoslit.apparatus import make_detector
+from twoslit import apparatus, scenario
+from twoslit.analysis import intensity, measure_channels
+from twoslit.apparatus import Geometry, make_detector
 from twoslit.cli import main
 from twoslit.config import load_config
 from twoslit.errors import InvalidStateError
 from twoslit.propagator import GridSpec, PlaneField, propagate, propagate_pair
-from twoslit.scenario import ChannelSet, barrier_field, screen_grid, stub_source
+from twoslit.scenario import ChannelSet, barrier_field, stub_source, sweep_interslit
 
 REPO = Path(__file__).resolve().parent.parent
 DESK = REPO / "configs" / "desk.json"
@@ -45,11 +45,12 @@ def test_detected_image_propagates_the_disc_sum(d, desk_apparatus, desk_detector
     # at the disc, not the sum of the two screen images.
     app = desk_apparatus.with_slit_separation(d)
     stub = stub_source(app, desk_detector, desk_particle)
-    trapped = ChannelSet(app, desk_detector, desk_particle).trapped
+    trapped = ChannelSet(Geometry(app, desk_detector, desk_particle)).trapped
     if trapped is not None:
         stub = PlaneField(stub.grid, stub.values + trapped.values)
-    want = propagate(stub, app.L2 - desk_detector.depth_epsilon, desk_particle, screen_grid(app))
-    cs = ChannelSet(app, desk_detector, desk_particle)
+    screen = Geometry(app, desk_detector, desk_particle).screen
+    want = propagate(stub, app.L2 - desk_detector.depth_epsilon, desk_particle, screen)
+    cs = ChannelSet(Geometry(app, desk_detector, desk_particle))
     assert np.array_equal(cs.detected.values, want.values)
     assert (cs.detected is cs.stub_image) == (trapped is None)
 
@@ -59,7 +60,7 @@ def test_each_propagation_runs_once(
     d, expected, count_propagations, desk_apparatus, desk_detector, desk_particle, desk_window
 ):
     app = desk_apparatus.with_slit_separation(d)
-    cs = ChannelSet(app, desk_detector, desk_particle)
+    cs = ChannelSet(Geometry(app, desk_detector, desk_particle))
     measure_channels(cs, desk_window, 8.0e4)
     intensity(cs.no_detector)
     assert len(count_propagations) == expected <= 5
@@ -75,16 +76,12 @@ def test_sweep_propagations_per_geometry(
     assert len(count_propagations) == 3 + 5
 
 
-def test_simulate_builds_each_grid_and_barrier_field_once(tmp_path, monkeypatch):
-    # A desk simulate builds the two barrier fields once, in its
-    # ChannelSet.  Each GridSpec computes its points once; the 9 grids
-    # are validate's 4 sampled grids, the window check's screen, and the
-    # set's screen, disc and two apertures.  Only validate asks for a
-    # uniformity verdict: building a PlaneField asks for none.
-    barrier, points, verdicts = [], [], []
-    real = scenario.barrier_field
-    monkeypatch.setattr(scenario, "barrier_field", lambda *args: barrier.append(args) or real(*args))
-    for name, log in (("x", points), ("step_error", verdicts)):
+@pytest.fixture
+def grid_builds(monkeypatch):
+    """Logs of the grids whose points or uniformity verdict are computed,
+    and of the disc_samples_required and barrier_field calls."""
+    logs = {"points": [], "verdicts": [], "disc_need": [], "barrier": []}
+    for name, log in (("x", logs["points"]), ("step_error", logs["verdicts"])):
         cached = GridSpec.__dict__[name]  # a functools.cached_property
 
         def logged(grid, _func=cached.func, _log=log):
@@ -92,10 +89,40 @@ def test_simulate_builds_each_grid_and_barrier_field_once(tmp_path, monkeypatch)
             return _func(grid)
 
         monkeypatch.setattr(cached, "func", logged)
+    for module, name, log in (
+        (apparatus, "disc_samples_required", logs["disc_need"]),
+        (scenario, "barrier_field", logs["barrier"]),
+    ):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _real=real, _log=log: _log.append(args) or _real(*args))
+    return logs
+
+
+def test_simulate_builds_each_grid_and_barrier_field_once(tmp_path, grid_builds):
+    # A desk simulate validates one Geometry, which computes the points
+    # of its 4 grids (screen, two apertures, disc) and its disc need
+    # once; the window check and the ChannelSet read that geometry, and
+    # the set builds the two barrier fields once.  Only validate asks
+    # for a uniformity verdict: building a PlaneField asks for none.
     assert main(["simulate", "--config", str(DESK), "--out", str(tmp_path / "run")]) == 0
-    assert [slit for *_, slit in barrier] == ["A", "B"]
-    assert len(points) == 9 and len({id(grid) for grid in points}) == 9
-    assert len(verdicts) == 4
+    assert [slit for *_, slit in grid_builds["barrier"]] == ["A", "B"]
+    points = grid_builds["points"]
+    assert len(points) == 4 and len({id(grid) for grid in points}) == 4
+    assert len(grid_builds["verdicts"]) == 4
+    assert len(grid_builds["disc_need"]) == 1
+
+
+def test_sweep_builds_each_grid_once_per_geometry(tmp_path, grid_builds):
+    # A desk sweep validates the config and each of its 10 separations:
+    # 11 geometries, each computing its 4 grids' points and its disc need
+    # once.  Each separation's ChannelSet is built on the geometry its
+    # validation checked and makes that separation's 2 barrier fields.
+    n = len(json.loads(DESK.read_text())["sweep"]["d_values"])
+    assert main(["sweep", "--config", str(DESK), "--out", str(tmp_path / "run")]) == 0
+    points = grid_builds["points"]
+    assert n == 10 and len(points) == 4 * (n + 1) == 44 and len({id(grid) for grid in points}) == 44
+    assert len(grid_builds["disc_need"]) == n + 1
+    assert [slit for *_, slit in grid_builds["barrier"]] == ["A", "B"] * n
 
 
 @pytest.mark.parametrize("d", SEPARATIONS)
@@ -140,11 +167,11 @@ def test_sweep_rejects_bad_entry_before_computing(count_propagations, tmp_path, 
 
 
 def test_channels_without_detector(desk_apparatus, desk_particle, count_propagations):
-    cs = ChannelSet(desk_apparatus, make_detector(enabled=False, photon_wavelength=20.0), desk_particle)
+    cs = ChannelSet(Geometry(desk_apparatus, make_detector(enabled=False, photon_wavelength=20.0), desk_particle))
     # the expected sum calls the propagator directly, past the counter
+    geometry = cs.geometry
     pair = propagate_pair(
-        *(barrier_field(desk_apparatus, desk_particle, slit) for slit in "AB"),
-        desk_apparatus.L2, desk_particle, screen_grid(desk_apparatus),
+        *(barrier_field(geometry, slit) for slit in "AB"), desk_apparatus.L2, desk_particle, geometry.screen
     )
     assert np.array_equal(cs.no_detector.values, pair[0].values + pair[1].values)
     for name in ("p_det", "null", "detected", "stub_image", "kick_reference"):

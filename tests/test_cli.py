@@ -413,6 +413,29 @@ def test_tiny_depth_epsilon_never_exits_1(command, tmp_path: Path, capsys):
     assert not out.exists()
 
 
+def test_kernel_phase_past_2_53_exits_3_naming_L1(tmp_path: Path, capsys, kernel_calls):
+    # Over L1 = 1e-200 the kernel phase is ~3e204 rad: finite, but a
+    # double holds no digit of it modulo 2 pi.
+    cfg = _desk_variant(tmp_path, "apparatus", L1=1e-200)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert "apparatus.L1: " in capsys.readouterr().err
+    assert kernel_calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "paths"])
+def test_unresolvable_disc_grid_exits_3(command, tmp_path: Path, capsys, kernel_calls):
+    # At depth_epsilon = 1e-3 the disc grid needs ~3.4e6 samples, past
+    # the cap: refused, not clamped to an aliased grid.
+    cfg = _desk_variant(tmp_path, "detector", depth_epsilon=1e-3)
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert "detector.depth_epsilon, detector.radius_rho: " in capsys.readouterr().err
+    assert kernel_calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_one_point_apertures_run(command, tmp_path: Path):
     # One aperture point per slit: the disc captures are chirp-z sums of

@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from twoslit import kernels
-from twoslit.apparatus import make_particle
+from twoslit.apparatus import Geometry, make_particle
 from twoslit.cli import main
 from twoslit.config import load_config
 from twoslit.errors import InvalidArgumentError
@@ -286,7 +286,7 @@ def test_chirp_plan_changes_no_bytes(d):
     fields = ("psi_a", "stub_image", "detected")
 
     def values(name):
-        return getattr(ChannelSet(app, cfg.detector, cfg.particle), name).values
+        return getattr(ChannelSet(Geometry(app, cfg.detector, cfg.particle)), name).values
 
     cold = {}
     for name in fields:
@@ -328,7 +328,7 @@ def _slit_oracle(cfg, app, slit, x_out):
     """The direct sum of one slit's aperture field onto the screen points."""
     t = app.L2 / cfg.particle.velocity
     pref = cmath.sqrt(cfg.particle.mass / (2.0j * math.pi * t))
-    f = barrier_field(app, cfg.particle, slit)
+    f = barrier_field(Geometry(app, cfg.detector, cfg.particle), slit)
     return _propagate_sum_oracle(x_out, f.x, f.values, f.dx, pref, cfg.particle.mass / (2.0 * t))
 
 
@@ -339,7 +339,7 @@ def test_slit_pair_centre_stays_on_the_direct_sum():
     for path in SHIPPED:
         cfg, apps = _geometries(path)
         for app in apps:
-            cs = ChannelSet(app, cfg.detector, cfg.particle)
+            cs = ChannelSet(Geometry(app, cfg.detector, cfg.particle))
             n = cs.psi_a.x.size
             centre = np.zeros(n, bool)
             centre[n // 2 - 1 : n // 2 + 1] = True
@@ -358,7 +358,7 @@ def test_every_shipped_slit_pair_takes_the_pair_sum(path, kernel_calls):
     cfg, apps = _geometries(path)
     for app in apps:
         kernel_calls.clear()
-        ChannelSet(app, cfg.detector, cfg.particle).psi_b
+        ChannelSet(Geometry(app, cfg.detector, cfg.particle)).psi_b
         assert kernel_calls == ["propagate_sum", "direct_sum", "direct_sum"], app.slit_separation
 
 
@@ -372,7 +372,7 @@ def test_odd_screen_grid_takes_no_centre_patch(tmp_path, kernel_calls):
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
     assert "direct_sum" not in kernel_calls
     cfg = load_config(config)
-    cs = ChannelSet(cfg.apparatus, cfg.detector, cfg.particle)
+    cs = ChannelSet(Geometry(cfg.apparatus, cfg.detector, cfg.particle))
     for slit, psi in (("A", cs.psi_a), ("B", cs.psi_b)):
         want = _slit_oracle(cfg, cfg.apparatus, slit, psi.x)
         assert np.max(np.abs(psi.values - want)) <= 1e-9 * np.max(np.abs(want)), slit
@@ -381,7 +381,7 @@ def test_odd_screen_grid_takes_no_centre_patch(tmp_path, kernel_calls):
 def test_offset_source_falls_back_to_two_chirp_z_sums(kernel_calls):
     cfg = load_config(DESK)
     app = dataclasses.replace(cfg.apparatus, source_x=3.0)
-    cs = ChannelSet(app, cfg.detector, cfg.particle)
+    cs = ChannelSet(Geometry(app, cfg.detector, cfg.particle))
     psi = (cs.psi_a, cs.psi_b)
     assert kernel_calls == ["propagate_sum", "propagate_sum"]
     for slit, got in zip("AB", psi):

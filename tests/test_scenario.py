@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twoslit.analysis import intensity, local_visibility_profile, visibility
-from twoslit.apparatus import Apparatus, DetectorConfig, make_detector, make_particle
+from twoslit.apparatus import Apparatus, DetectorConfig, Geometry, make_detector, make_particle
 from twoslit.errors import InvalidArgumentError, InvalidStateError
 from twoslit.propagator import GridSpec, point_source_field, propagate, propagate_pair, transmitted_power
 from twoslit.scenario import (
@@ -16,13 +16,12 @@ from twoslit.scenario import (
     detection_probability,
     disc_window,
     kick_visibility_factor,
-    screen_grid,
     stub_source,
 )
 
 
-def test_screen_grid(desk_apparatus):
-    g = screen_grid(desk_apparatus)
+def test_screen_grid(desk_apparatus, desk_detector, desk_particle):
+    g = Geometry(desk_apparatus, desk_detector, desk_particle).screen
     assert (g.lo, g.hi, g.n) == (-2.0e5, 2.0e5, 4096)
     assert np.array_equal(g.x, -g.x[::-1])
 
@@ -30,29 +29,30 @@ def test_screen_grid(desk_apparatus):
 def test_two_slit_is_sum_of_one_slit(desk_apparatus, desk_detector, desk_particle):
     # Each slit field is the pair sum's output, and its own propagation
     # (a chirp-z sum) up to rounding.
-    cs = ChannelSet(desk_apparatus, desk_detector, desk_particle)
-    sources = [barrier_field(desk_apparatus, desk_particle, slit) for slit in "AB"]
-    pair = propagate_pair(*sources, desk_apparatus.L2, desk_particle, screen_grid(desk_apparatus))
+    geometry = Geometry(desk_apparatus, desk_detector, desk_particle)
+    cs = ChannelSet(geometry)
+    sources = [barrier_field(geometry, slit) for slit in "AB"]
+    pair = propagate_pair(*sources, desk_apparatus.L2, desk_particle, geometry.screen)
     for src, psi, got in zip(sources, (cs.psi_a, cs.psi_b), pair):
         assert np.array_equal(psi.values, got.values)
-        want = propagate(src, desk_apparatus.L2, desk_particle, screen_grid(desk_apparatus)).values
+        want = propagate(src, desk_apparatus.L2, desk_particle, geometry.screen).values
         assert np.max(np.abs(psi.values - want)) <= 1e-9 * np.max(np.abs(want))
     assert np.array_equal(cs.no_detector.values, cs.psi_a.values + cs.psi_b.values)
 
 
-def test_one_slit_bad_label(desk_apparatus, desk_particle):
+def test_one_slit_bad_label(desk_apparatus, desk_detector, desk_particle):
     with pytest.raises(InvalidArgumentError):
-        barrier_field(desk_apparatus, desk_particle, "C")
+        barrier_field(Geometry(desk_apparatus, desk_detector, desk_particle), "C")
 
 
 def test_two_slit_mirror_symmetric(desk_apparatus, desk_detector, desk_particle):
-    prof = intensity(ChannelSet(desk_apparatus, desk_detector, desk_particle).no_detector)
+    prof = intensity(ChannelSet(Geometry(desk_apparatus, desk_detector, desk_particle)).no_detector)
     flipped = prof.values[::-1]
     assert np.max(np.abs(prof.values - flipped)) / np.max(prof.values) < 1e-9
 
 
 def test_one_slit_has_no_fringes(desk_apparatus, desk_detector, desk_particle, desk_window):
-    prof = intensity(ChannelSet(desk_apparatus, desk_detector, desk_particle).psi_a)
+    prof = intensity(ChannelSet(Geometry(desk_apparatus, desk_detector, desk_particle)).psi_a)
     assert visibility(prof, desk_window) < 0.05
 
 
@@ -123,7 +123,7 @@ def test_disc_operations_require_detector(desk_apparatus, desk_particle):
             fn(desk_apparatus, off, desk_particle)
     for name in ("trapped", "null", "detected"):
         with pytest.raises(InvalidStateError):
-            getattr(ChannelSet(desk_apparatus, off, desk_particle), name)
+            getattr(ChannelSet(Geometry(desk_apparatus, off, desk_particle)), name)
     deep = make_detector(enabled=True, photon_wavelength=20.0, depth_epsilon=2.0e5)
     with pytest.raises(InvalidArgumentError):
         stub_source(desk_apparatus, deep, desk_particle)
@@ -131,9 +131,9 @@ def test_disc_operations_require_detector(desk_apparatus, desk_particle):
 
 def test_trapped_a_gating(desk_apparatus, desk_detector, desk_particle):
     # slits 25 disc radii apart: A's cone cannot reach the disc
-    assert ChannelSet(desk_apparatus, desk_detector, desk_particle).trapped is None
+    assert ChannelSet(Geometry(desk_apparatus, desk_detector, desk_particle)).trapped is None
     close = desk_apparatus.with_slit_separation(10.0)
-    trapped = ChannelSet(close, desk_detector, desk_particle).trapped
+    trapped = ChannelSet(Geometry(close, desk_detector, desk_particle)).trapped
     assert trapped is not None
     assert np.any(np.abs(trapped.values) > 0.0)
 
@@ -171,14 +171,14 @@ def test_detection_probability_scales_with_slit_power(desk_apparatus, desk_parti
 def test_null_channel_reduces_to_one_slit(desk_apparatus, desk_detector, desk_particle):
     # crossing window far beyond the screen: the null record IS one-slit A
     far = desk_apparatus.with_slit_separation(2000.0)
-    cs = ChannelSet(far, desk_detector, desk_particle)
+    cs = ChannelSet(Geometry(far, desk_detector, desk_particle))
     assert cs.null is cs.psi_a
-    psi_a = ChannelSet(far, desk_detector, desk_particle).psi_a
+    psi_a = ChannelSet(Geometry(far, desk_detector, desk_particle)).psi_a
     assert np.array_equal(cs.null.values, psi_a.values)
 
 
 def test_null_channel_gains_fringes_at_small_d(desk_apparatus, desk_detector, desk_particle):
-    cs = ChannelSet(desk_apparatus.with_slit_separation(20.0), desk_detector, desk_particle)
+    cs = ChannelSet(Geometry(desk_apparatus.with_slit_separation(20.0), desk_detector, desk_particle))
     null = intensity(cs.null)
     base = intensity(cs.psi_a)
     width = 8.0e4
@@ -189,7 +189,7 @@ def test_null_channel_gains_fringes_at_small_d(desk_apparatus, desk_detector, de
 
 
 def test_detected_channel_weights(desk_apparatus, desk_detector, desk_particle):
-    cs = ChannelSet(desk_apparatus, desk_detector, desk_particle)
+    cs = ChannelSet(Geometry(desk_apparatus, desk_detector, desk_particle))
     p = detection_probability(desk_apparatus, desk_detector, desk_particle)
     assert cs.p_det == p
     assert 0.0 < p < 1.0
@@ -197,12 +197,12 @@ def test_detected_channel_weights(desk_apparatus, desk_detector, desk_particle):
     # the full detected channel
     assert np.array_equal(cs.detected.values, cs.stub_image.values)
     # at d = rho/2 the trapped contribution changes the pattern
-    close = ChannelSet(desk_apparatus.with_slit_separation(10.0), desk_detector, desk_particle)
+    close = ChannelSet(Geometry(desk_apparatus.with_slit_separation(10.0), desk_detector, desk_particle))
     assert not np.array_equal(close.detected.values, close.stub_image.values)
 
 
 def test_combined_intensity_limits(desk_apparatus, desk_detector, desk_particle):
-    cs = ChannelSet(desk_apparatus.with_slit_separation(50.0), desk_detector, desk_particle)
+    cs = ChannelSet(Geometry(desk_apparatus.with_slit_separation(50.0), desk_detector, desk_particle))
     null, det = cs.null, cs.detected
     i_null = intensity(null)
     i_det = intensity(det)
@@ -225,10 +225,10 @@ def test_kick_visibility_factor():
 
 
 def test_kick_reference_intensity(desk_apparatus, desk_detector, desk_particle):
-    prof = ChannelSet(desk_apparatus, desk_detector, desk_particle).kick_reference
+    prof = ChannelSet(Geometry(desk_apparatus, desk_detector, desk_particle)).kick_reference
     assert float(np.trapezoid(prof.values, prof.x)) == pytest.approx(1.0, rel=1e-9)
     flipped = prof.values[::-1]
     assert np.max(np.abs(prof.values - flipped)) / np.max(prof.values) < 1e-9
     off = make_detector(enabled=False, photon_wavelength=20.0)
     with pytest.raises(InvalidStateError):
-        ChannelSet(desk_apparatus, off, desk_particle).kick_reference
+        ChannelSet(Geometry(desk_apparatus, off, desk_particle)).kick_reference
