@@ -8,7 +8,6 @@ from .analysis import (
     IntensityProfile,
     OnsetReport,
     SweepRow,
-    SweepTable,
     fraunhofer_oracle,
     fringe_spacing,
     intensity,
@@ -28,7 +27,7 @@ from .apparatus import (
     make_particle,
     validate,
 )
-from .config import RunConfig, load_config, parse_config
+from .config import AnalysisSettings, RunConfig, load_config, parse_config
 from .errors import (
     ConfigError,
     InvalidArgumentError,
@@ -58,7 +57,6 @@ from .propagator import (
 from .scenario import (
     ChannelSet,
     CrossingWindow,
-    combined_intensity,
     crossing_window,
     detection_probability,
     kick_visibility_factor,
@@ -70,6 +68,7 @@ from .uncertainty import UncertaintyReport, packet_uncertainties
 __version__ = "0.1.0"
 
 __all__ = [
+    "AnalysisSettings",
     "Apparatus",
     "ChannelSet",
     "ConfigError",
@@ -91,12 +90,10 @@ __all__ = [
     "RunConfig",
     "SpacetimeEvent",
     "SweepRow",
-    "SweepTable",
     "TwoslitError",
     "UncertaintyReport",
     "ValidationReport",
     "cm_to_bohr",
-    "combined_intensity",
     "crossing_count",
     "crossing_window",
     "detection_probability",

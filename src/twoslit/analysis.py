@@ -3,6 +3,10 @@ and locally windowed), fringe spacing, a closed-form far-field oracle,
 onset-of-interference statistics, and the rows of the slit-separation
 sweep (scenario.sweep_interslit fills them).
 
+A profile lives on one GridSpec, as a PlaneField does; profiles on equal
+GridSpecs share a grid.  IntensityProfile.unit_area is the one place an
+intensity is scaled to unit area.
+
 Visibility here is an extremum-ensemble contrast,
 
     V = (mean of local maxima - mean of local minima)
@@ -22,11 +26,12 @@ want.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .apparatus import Apparatus, GridSpec, Particle
+from .config import AnalysisSettings
 from .errors import InvalidArgumentError, NoFringesError
 from .propagator import PlaneField
 
@@ -40,15 +45,35 @@ MIN_WINDOW_SAMPLES = 16
 
 @dataclass(frozen=True)
 class IntensityProfile:
-    x: np.ndarray
+    """Intensity sampled on the points of a grid; its x and dx are the
+    grid's."""
+
+    grid: GridSpec
     values: np.ndarray
-    dx: float
 
     def __post_init__(self) -> None:
-        if self.x.shape != self.values.shape or self.x.ndim != 1 or self.x.size == 0:
-            raise InvalidArgumentError("profile arrays must be matching non-empty 1-D")
+        if self.values.shape != self.grid.x.shape:
+            raise InvalidArgumentError(
+                f"profile needs one value per grid point, {self.grid.n}, got shape {self.values.shape}"
+            )
         if not bool(np.all(np.isfinite(self.values))):
             raise InvalidArgumentError("profile contains non-finite values")
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.grid.x
+
+    @property
+    def dx(self) -> float:
+        return self.grid.dx
+
+    @classmethod
+    def unit_area(cls, grid: GridSpec, values: np.ndarray) -> "IntensityProfile":
+        """values on grid, scaled to unit trapezoid area."""
+        area = float(np.trapezoid(values, grid.x))
+        if not (area > 0.0):
+            raise InvalidArgumentError("cannot normalize a zero-intensity profile")
+        return cls(grid, values / area)
 
 
 @dataclass(frozen=True)
@@ -72,20 +97,9 @@ class SweepRow:
     p_det: float
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    rows: tuple[SweepRow, ...] = field(default_factory=tuple)
-
-    COLUMNS = tuple(f.name for f in fields(SweepRow))
-
-
 def intensity(field_in: PlaneField) -> IntensityProfile:
     """|field|^2 scaled to unit trapezoid area."""
-    vals = np.abs(field_in.values) ** 2
-    area = float(np.trapezoid(vals, field_in.x))
-    if not (area > 0.0):
-        raise InvalidArgumentError("cannot normalize a zero-intensity field")
-    return IntensityProfile(x=field_in.x, values=vals / area, dx=field_in.dx)
+    return IntensityProfile.unit_area(field_in.grid, np.abs(field_in.values) ** 2)
 
 
 def _strict_extrema(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,22 +271,19 @@ def fraunhofer_oracle(apparatus: Apparatus, particle: Particle) -> IntensityProf
     cos^2(pi d u) * sinc^2(w u) with u = x' / (lambda L2), x' measured
     from the projected pattern center, unit-area normalized."""
     grid = GridSpec(apparatus.screen_min, apparatus.screen_max, apparatus.screen_samples)
-    x = grid.x
     mid = 0.5 * (apparatus.slit_A_center + apparatus.slit_B_center)
     center = mid + (mid - apparatus.source_x) * apparatus.L2 / apparatus.L1
-    u = (x - center) / (particle.de_broglie_wavelength * apparatus.L2)
+    u = (grid.x - center) / (particle.de_broglie_wavelength * apparatus.L2)
     d = apparatus.slit_separation
     w = apparatus.slit_width
-    vals = np.cos(np.pi * d * u) ** 2 * np.sinc(w * u) ** 2
-    area = float(np.trapezoid(vals, x))
-    return IntensityProfile(x=x, values=vals / area, dx=grid.dx)
+    return IntensityProfile.unit_area(grid, np.cos(np.pi * d * u) ** 2 * np.sinc(w * u) ** 2)
 
 
 def onset_metrics(
     profile: IntensityProfile,
     baseline: IntensityProfile,
     window_width: float,
-    threshold: float = 0.02,
+    threshold: float = AnalysisSettings.onset_threshold,
 ) -> OnsetReport:
     """Where does the profile show fringes that its baseline lacks?
 
@@ -280,7 +291,7 @@ def onset_metrics(
     is treated as a mass distribution over x; the report carries its
     left/right split and centroid.  |asymmetry| < 0.1 counts as center.
     """
-    if profile.x.size != baseline.x.size or not np.array_equal(profile.x, baseline.x):
+    if profile.grid != baseline.grid:
         raise InvalidArgumentError("profile and baseline are on different grids")
     lv = local_visibility_profile(profile, window_width)
     lv_base = lv if baseline is profile else local_visibility_profile(baseline, window_width)
@@ -309,26 +320,21 @@ class ChannelMeasurements:
     p_det: float
 
 
-def measure_channels(
-    channels,
-    central_window: tuple[float, float],
-    local_window_width: float,
-    onset_threshold: float = 0.02,
-) -> ChannelMeasurements:
+def measure_channels(channels, settings: AnalysisSettings) -> ChannelMeasurements:
     """Intensities, visibilities and onset reports of the detector
-    channels of one scenario.ChannelSet.  The null channel's onset
-    baseline is one-slit A; the detected channel's is its stub-only
-    re-emission."""
+    channels of one scenario.ChannelSet, with the run's analysis
+    settings.  The null channel's onset baseline is one-slit A; the
+    detected channel's is its stub-only re-emission."""
     profiles = {
         "null": channels.unit_intensity("null"),
         "detected": channels.unit_intensity("detected"),
         "combined": channels.combined,
         "kick_reference": channels.kick_reference,
     }
-    onset = (local_window_width, onset_threshold)
+    onset = (settings.local_window_width, settings.onset_threshold)
     return ChannelMeasurements(
         profiles=profiles,
-        visibility={k: visibility(v, central_window) for k, v in profiles.items()},
+        visibility={k: visibility(v, settings.central_window) for k, v in profiles.items()},
         onset_null=onset_metrics(profiles["null"], channels.unit_intensity("psi_a"), *onset),
         onset_detected=onset_metrics(
             profiles["detected"], channels.unit_intensity("stub_image"), *onset

@@ -330,6 +330,9 @@ def validate(apparatus: Apparatus, detector: DetectorConfig, particle: Particle)
             err("nonpositive_radius", f"radius_rho must be > 0, got {detector.radius_rho}")
         if not (detector.depth_epsilon > 0.0):
             err("nonpositive_depth", f"depth_epsilon must be > 0, got {detector.depth_epsilon}")
+        if not (detector.depth_epsilon < a.L2):
+            err("depth_past_screen",
+                f"detector.depth_epsilon={detector.depth_epsilon} must be smaller than apparatus.L2={a.L2}")
         if not (detector.photon_wavelength > 0.0):
             err("nonpositive_photon_wavelength",
                 f"photon_wavelength must be > 0, got {detector.photon_wavelength}")

@@ -7,10 +7,11 @@ ignored: the numpy kernels take no worker count, and results never
 depended on it).
 
 The CLI parses, dispatches, serializes and writes.  simulate measures
-the ChannelSet of the Geometry validate returns (analysis.measure_channels):
-3 propagations (the slit pair counts as one), 5 when slit A's cone
-reaches the disc, 1 with the detector off.  scenario.sweep_interslit does
-the same per validated d_values entry; both first check, on that screen
+the ChannelSet of the Geometry validate returns with the config's
+AnalysisSettings (analysis.measure_channels): 3 propagations (the slit
+pair counts as one), 5 when slit A's cone reaches the disc, 1 with the
+detector off.  scenario.sweep_interslit does the same per validated
+sweep.d_values entry of that Geometry; both first check, on its screen
 grid, that analysis.central_window holds enough screen samples and, with
 the detector on, that analysis.local_window_width spans enough of them.
 paths writes the bundles and crossing counts of paths.experiment_paths
@@ -36,7 +37,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -176,9 +177,7 @@ def _simulate_artifacts(cfg: RunConfig) -> dict[str, list[str]]:
     columns = {"I_no_detector": i_two.values}
 
     if det.enabled:
-        m = analysis.measure_channels(
-            channels, ana.central_window, ana.local_window_width, ana.onset_threshold
-        )
+        m = analysis.measure_channels(channels, ana)
         vis.update(m.visibility)
         summary["p_det"] = m.p_det
         summary["onset_null"] = _onset_payload(m.onset_null)
@@ -215,20 +214,11 @@ def _sweep_artifacts(cfg: RunConfig) -> dict[str, list[str]]:
         raise ConfigError("sweep.d_values", "missing required key for the sweep command")
     if len(cfg.sweep_d_values) < 2:
         raise ConfigError("sweep.d_values", "need at least 2 entries")
-    _check_window(cfg, _validated(cfg).geometry)
+    geometry = _validated(cfg).geometry
+    _check_window(cfg, geometry)
     ana = cfg.analysis
-    table = scenario.sweep_interslit(
-        cfg.apparatus,
-        cfg.detector,
-        cfg.particle,
-        list(cfg.sweep_d_values),
-        central_window=ana.central_window,
-        local_window_width=ana.local_window_width,
-        onset_threshold=ana.onset_threshold,
-    )
-    onset_d = next(
-        (row.d for row in table.rows if row.visibility_combined > ana.onset_threshold), None
-    )
+    rows = scenario.sweep_interslit(geometry, list(cfg.sweep_d_values), ana)
+    onset_d = next((row.d for row in rows if row.visibility_combined > ana.onset_threshold), None)
     digest = {
         "onset_threshold": ana.onset_threshold,
         "onset_d": onset_d,
@@ -236,8 +226,8 @@ def _sweep_artifacts(cfg: RunConfig) -> dict[str, list[str]]:
     }
     artifacts: dict[str, list[str]] = {}
     if cfg.output.emit_csv:
-        cols = analysis.SweepTable.COLUMNS
-        artifacts["sweep.csv"] = [_csv_text(cols, [[getattr(r, c) for r in table.rows] for c in cols])]
+        cols = [f.name for f in fields(analysis.SweepRow)]
+        artifacts["sweep.csv"] = [_csv_text(cols, [[getattr(r, c) for r in rows] for c in cols])]
     if cfg.output.emit_json:
         artifacts["sweep_digest.json"] = [_json_text(digest)]
     return artifacts

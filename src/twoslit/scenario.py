@@ -31,8 +31,11 @@ image (stub_image, also the detected channel's no-interference
 baseline); the detected channel propagate(stub + trapped), the stub
 image itself when nothing is trapped.  That is 3 propagations per
 geometry, 5 when A's cone reaches the disc.  Each channel's unit-area
-intensity is built once and shared by the measurements and the
-mixture.
+intensity (an analysis.IntensityProfile on the screen grid) is built
+once and shared by the measurements and the mixture; ChannelSet.combined
+is the only mixture.  sweep_interslit measures one such set per
+validated slit separation of a run's Geometry, with the run's
+config.AnalysisSettings.
 
 The disc restriction multiplies by a flat-top window with C-infinity
 edges (support exactly [x_B - rho, x_B + rho]); a hard edge would add
@@ -54,8 +57,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import IntensityProfile, SweepRow, SweepTable, intensity, measure_channels
+from .analysis import IntensityProfile, SweepRow, intensity, measure_channels
 from .apparatus import Apparatus, DetectorConfig, Geometry, Particle, validate
+from .config import AnalysisSettings
 from .errors import InvalidArgumentError, InvalidStateError
 from .propagator import (
     PlaneField,
@@ -270,10 +274,7 @@ class ChannelSet:
         a, b = self.psi_a.values, self.psi_b.values
         gamma = kick_visibility_factor(self.apparatus.slit_separation, self.detector.photon_wavelength)
         vals = np.abs(a) ** 2 + np.abs(b) ** 2 + 2.0 * gamma * np.real(a * np.conj(b))
-        area = float(np.trapezoid(vals, self.psi_a.x))
-        if not (area > 0.0):
-            raise InvalidArgumentError("kick reference pattern has zero total intensity")
-        return IntensityProfile(x=self.psi_a.x, values=vals / area, dx=self.psi_a.dx)
+        return IntensityProfile.unit_area(self.psi_a.grid, vals)
 
 
 def detection_probability(
@@ -283,22 +284,17 @@ def detection_probability(
     return ChannelSet(Geometry(apparatus, detector, particle)).p_det
 
 
-def combined_intensity(null: PlaneField, det: PlaneField, p_det: float) -> IntensityProfile:
-    """Convex mixture of the unit-area channel intensities."""
-    return _mixture(intensity(null), intensity(det), p_det)
-
-
 def _mixture(i_null: IntensityProfile, i_det: IntensityProfile, p_det: float) -> IntensityProfile:
+    """Convex mixture of the unit-area channel intensities."""
     if not (0.0 <= p_det <= 1.0):
         raise InvalidArgumentError(f"p_det must lie in [0,1], got {p_det}")
-    if i_null.x.size != i_det.x.size or not np.array_equal(i_null.x, i_det.x):
+    if i_null.grid != i_det.grid:
         raise InvalidArgumentError("null and detected channels are on different grids")
     if p_det == 0.0:
         return i_null
     if p_det == 1.0:
         return i_det
-    vals = (1.0 - p_det) * i_null.values + p_det * i_det.values
-    return IntensityProfile(x=i_null.x, values=vals, dx=i_null.dx)
+    return IntensityProfile(i_null.grid, (1.0 - p_det) * i_null.values + p_det * i_det.values)
 
 
 def kick_visibility_factor(d: float, photon_wavelength: float) -> float:
@@ -308,30 +304,26 @@ def kick_visibility_factor(d: float, photon_wavelength: float) -> float:
 
 
 def sweep_interslit(
-    apparatus: Apparatus,
-    detector: DetectorConfig,
-    particle: Particle,
-    d_values: list[float],
-    central_window: tuple[float, float],
-    local_window_width: float,
-    onset_threshold: float = 0.02,
-) -> SweepTable:
-    """Run every channel at each slit separation and tabulate the
-    verdict measurements.  Every re-centered apparatus is validated
-    before any is computed; an invalid entry aborts with the offending
-    d named; then one ChannelSet at a time measures each geometry."""
+    geometry: Geometry, d_values: list[float], settings: AnalysisSettings
+) -> tuple[SweepRow, ...]:
+    """Run every channel of the geometry at each slit separation and
+    tabulate the verdict measurements.  Every re-centered apparatus is
+    validated before any is computed; an invalid entry aborts naming
+    its key, sweep.d_values[i]; then one ChannelSet at a time measures
+    each geometry."""
     if len(d_values) == 0:
-        raise InvalidArgumentError("d_values is empty")
+        raise InvalidArgumentError("sweep.d_values is empty")
+    detector, particle = geometry.detector, geometry.particle
     geometries = []
     for i, d in enumerate(d_values):
-        report = validate(apparatus.with_slit_separation(d), detector, particle)
+        report = validate(geometry.apparatus.with_slit_separation(d), detector, particle)
         if not report.ok:
             issues = "; ".join(issue.message for issue in report.errors())
-            raise InvalidArgumentError(f"d_values[{i}]={d} gives invalid geometry: {issues}")
+            raise InvalidArgumentError(f"sweep.d_values[{i}]={d} gives invalid geometry: {issues}")
         geometries.append(report.geometry)
     rows = []
     for d in d_values:  # each geometry's grids are freed once it is measured
-        m = measure_channels(ChannelSet(geometries.pop(0)), central_window, local_window_width, onset_threshold)
+        m = measure_channels(ChannelSet(geometries.pop(0)), settings)
         rows.append(
             SweepRow(
                 d=d,
@@ -345,4 +337,4 @@ def sweep_interslit(
                 p_det=m.p_det,
             )
         )
-    return SweepTable(rows=tuple(rows))
+    return tuple(rows)

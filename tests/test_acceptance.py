@@ -23,11 +23,11 @@ from twoslit.analysis import (
 )
 from twoslit.apparatus import Apparatus, Geometry, make_detector, make_particle
 from twoslit.cli import main
+from twoslit.config import AnalysisSettings
 from twoslit.paths import SpacetimeEvent, mc_kernel_estimate
 from twoslit.propagator import GridSpec, PlaneField, free_kernel, propagate
 from twoslit.scenario import (
     ChannelSet,
-    combined_intensity,
     crossing_window,
     kick_visibility_factor,
     sweep_interslit,
@@ -47,14 +47,9 @@ def _verdict(ok: bool, label: str, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def sweep_table(desk_apparatus, desk_detector, desk_particle, desk_window):
+def sweep_rows(desk_apparatus, desk_detector, desk_particle, desk_window):
     return sweep_interslit(
-        desk_apparatus,
-        desk_detector,
-        desk_particle,
-        D_SWEEP,
-        central_window=desk_window,
-        local_window_width=8.0e4,
+        Geometry(desk_apparatus, desk_detector, desk_particle), D_SWEEP, AnalysisSettings(desk_window, 8.0e4)
     )
 
 
@@ -129,7 +124,7 @@ def test_two_slit_fringes(desk_apparatus, desk_detector, desk_particle, desk_win
 def test_fringe_disappearance(desk_apparatus, desk_detector, desk_particle, desk_window):
     far = desk_apparatus.with_slit_separation(100.0 * desk_detector.radius_rho)
     cs = ChannelSet(Geometry(far, desk_detector, desk_particle))
-    vis = visibility(combined_intensity(cs.null, cs.detected, cs.p_det), desk_window)
+    vis = visibility(cs.combined, desk_window)
     psi_a = ChannelSet(Geometry(far, desk_detector, desk_particle)).psi_a
     bitwise = bool(np.array_equal(cs.null.values, psi_a.values))
     ok = vis < 0.01 and bitwise
@@ -141,8 +136,8 @@ def test_fringe_disappearance(desk_apparatus, desk_detector, desk_particle, desk
     )
 
 
-def test_fringe_return(sweep_table, desk_detector):
-    rows = sweep_table.rows  # ordered by decreasing d
+def test_fringe_return(sweep_rows, desk_detector):
+    rows = sweep_rows  # ordered by decreasing d
     vis = [r.visibility_combined for r in rows]
     monotone = all(b >= a - 1e-3 for a, b in zip(vis, vis[1:]))
     half_rho = next(r for r in rows if r.d == 0.5 * desk_detector.radius_rho)

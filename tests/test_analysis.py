@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,12 +16,15 @@ from twoslit.analysis import (
     visibility,
 )
 from twoslit.errors import InvalidArgumentError, NoFringesError
+from twoslit.apparatus import Geometry
+from twoslit.config import AnalysisSettings
 from twoslit.propagator import GridSpec, PlaneField
-from twoslit.scenario import sweep_interslit
+from twoslit.scenario import _mixture, sweep_interslit
 
 
 def _profile(x: np.ndarray, values: np.ndarray) -> IntensityProfile:
-    return IntensityProfile(x=x, values=values, dx=float(x[1] - x[0]))
+    """values on the uniform grid from x[0] to x[-1] with x.size points."""
+    return IntensityProfile(GridSpec(float(x[0]), float(x[-1]), x.size), values)
 
 
 def _tone(cycles: float, n: int = 2048, offset: float = 1.0, amp: float = 1.0):
@@ -35,7 +39,40 @@ def test_intensity_normalizes(desk_particle):
     f = PlaneField(grid, (1.0 + x**2).astype(complex))
     prof = intensity(f)
     assert float(np.trapezoid(prof.values, x)) == pytest.approx(1.0, rel=1e-12)
-    assert prof.x is x and prof.dx == grid.dx
+    assert prof.grid is grid and prof.x is x and prof.dx == grid.dx
+
+
+def test_profile_refuses_wrong_shape_and_non_finite_values():
+    grid = GridSpec(-1.0, 1.0, 16)
+    for values in (np.ones(15), np.ones((16, 1)), np.ones(17)):
+        with pytest.raises(InvalidArgumentError, match="one value per grid point"):
+            IntensityProfile(grid, values)
+    for bad in (math.nan, math.inf, -math.inf):
+        values = np.ones(16)
+        values[3] = bad
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            IntensityProfile(grid, values)
+
+
+def test_unit_area_scales_to_unit_area_and_refuses_zeros():
+    grid = GridSpec(0.0, 3.0, 4)
+    prof = IntensityProfile.unit_area(grid, np.array([1.0, 2.0, 2.0, 1.0]))
+    assert prof.grid is grid
+    assert np.array_equal(prof.values, np.array([1.0, 2.0, 2.0, 1.0]) / 5.0)
+    for zero in (np.zeros(4), np.array([1.0, -1.0, -1.0, 1.0])):
+        with pytest.raises(InvalidArgumentError, match="zero-intensity"):
+            IntensityProfile.unit_area(grid, zero)
+
+
+def test_mixture_refuses_profiles_on_different_grids():
+    a = IntensityProfile(GridSpec(-1.0, 1.0, 16), np.ones(16))
+    shifted = IntensityProfile(GridSpec(-0.5, 1.5, 16), np.ones(16))
+    denser = IntensityProfile(GridSpec(-1.0, 1.0, 17), np.ones(17))
+    for other in (shifted, denser):
+        with pytest.raises(InvalidArgumentError, match="different grids"):
+            _mixture(a, other, 0.5)
+    same = IntensityProfile(GridSpec(-1.0, 1.0, 16), np.full(16, 3.0))  # an equal grid, not the same object
+    assert np.array_equal(_mixture(a, same, 0.5).values, np.full(16, 2.0))
 
 
 def test_intensity_zero_field():
@@ -141,8 +178,6 @@ def test_fraunhofer_oracle(desk_apparatus, desk_particle):
 
 
 def test_fraunhofer_center_tracks_source(desk_apparatus, desk_particle):
-    import dataclasses
-
     fine = dataclasses.replace(desk_apparatus, screen_samples=16384)
     on_axis = fraunhofer_oracle(fine, desk_particle)
     shifted = fraunhofer_oracle(dataclasses.replace(fine, source_x=100.0), desk_particle)
@@ -209,44 +244,33 @@ def test_onset_symmetric_is_center():
 
 def test_onset_grid_mismatch():
     x, flat, fringes = _onset_fixture()
-    with pytest.raises(InvalidArgumentError):
-        onset_metrics(_profile(x, fringes), _profile(x + 1.0, flat), window_width=20.0)
+    shifted = IntensityProfile(GridSpec(-99.0, 101.0, x.size), flat)
+    with pytest.raises(InvalidArgumentError, match="different grids"):
+        onset_metrics(_profile(x, fringes), shifted, window_width=20.0)
 
 
 def test_sweep_rejects_bad_separation(desk_apparatus, desk_detector, desk_particle, desk_window):
-    with pytest.raises(InvalidArgumentError, match=r"d_values\[1\]"):
-        sweep_interslit(
-            desk_apparatus,
-            desk_detector,
-            desk_particle,
-            [100.0, 0.5],  # second value puts the slits on top of each other
-            central_window=desk_window,
-            local_window_width=8.0e4,
-        )
-    with pytest.raises(InvalidArgumentError):
-        sweep_interslit(
-            desk_apparatus, desk_detector, desk_particle, [],
-            central_window=desk_window, local_window_width=8.0e4,
-        )
+    geometry = Geometry(desk_apparatus, desk_detector, desk_particle)
+    settings = AnalysisSettings(desk_window, 8.0e4)
+    # the second value puts the slits on top of each other
+    with pytest.raises(InvalidArgumentError, match=r"^sweep\.d_values\[1\]=0\.5 gives invalid geometry: "):
+        sweep_interslit(geometry, [100.0, 0.5], settings)
+    with pytest.raises(InvalidArgumentError, match=r"^sweep\.d_values is empty"):
+        sweep_interslit(geometry, [], settings)
 
 
 def test_sweep_row_contents(desk_apparatus, desk_detector, desk_particle, desk_window):
-    table = sweep_interslit(
-        desk_apparatus,
-        desk_detector,
-        desk_particle,
-        [600.0, 10.0],
-        central_window=desk_window,
-        local_window_width=8.0e4,
+    rows = sweep_interslit(
+        Geometry(desk_apparatus, desk_detector, desk_particle), [600.0, 10.0], AnalysisSettings(desk_window, 8.0e4)
     )
-    assert len(table.rows) == 2
-    wide, narrow = table.rows
+    assert isinstance(rows, tuple) and len(rows) == 2
+    wide, narrow = rows
     assert wide.d == 600.0 and narrow.d == 10.0
     assert wide.d_over_lambda_ph == pytest.approx(30.0)
-    for row in table.rows:
+    for row in rows:
         assert 0.0 <= row.p_det <= 1.0
-        for col in table.COLUMNS:
-            assert math.isfinite(getattr(row, col))
+        for col in dataclasses.fields(row):
+            assert math.isfinite(getattr(row, col.name))
     # fringes are back at d = rho/2 and absent at d = 30 rho
     assert narrow.visibility_combined > 0.5
     assert wide.visibility_combined < 0.01

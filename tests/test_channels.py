@@ -11,7 +11,7 @@ from twoslit import apparatus, scenario
 from twoslit.analysis import intensity, measure_channels
 from twoslit.apparatus import Geometry, make_detector
 from twoslit.cli import main
-from twoslit.config import load_config
+from twoslit.config import AnalysisSettings, load_config
 from twoslit.errors import InvalidStateError
 from twoslit.propagator import GridSpec, PlaneField, propagate, propagate_pair
 from twoslit.scenario import ChannelSet, barrier_field, stub_source, sweep_interslit
@@ -61,7 +61,7 @@ def test_each_propagation_runs_once(
 ):
     app = desk_apparatus.with_slit_separation(d)
     cs = ChannelSet(Geometry(app, desk_detector, desk_particle))
-    measure_channels(cs, desk_window, 8.0e4)
+    measure_channels(cs, AnalysisSettings(desk_window, 8.0e4))
     intensity(cs.no_detector)
     assert len(count_propagations) == expected <= 5
 
@@ -70,8 +70,7 @@ def test_sweep_propagations_per_geometry(
     count_propagations, desk_apparatus, desk_detector, desk_particle, desk_window
 ):
     sweep_interslit(
-        desk_apparatus, desk_detector, desk_particle, SEPARATIONS,
-        central_window=desk_window, local_window_width=8.0e4,
+        Geometry(desk_apparatus, desk_detector, desk_particle), SEPARATIONS, AnalysisSettings(desk_window, 8.0e4)
     )
     assert len(count_propagations) == 3 + 5
 
@@ -137,12 +136,7 @@ def test_sweep_row_matches_simulate(d, tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
     summary = json.loads((tmp_path / "sim" / "summary.json").read_text())
     run = load_config(str(path))
-    (row,) = sweep_interslit(
-        run.apparatus, run.detector, run.particle, [d],
-        central_window=run.analysis.central_window,
-        local_window_width=run.analysis.local_window_width,
-        onset_threshold=run.analysis.onset_threshold,
-    ).rows
+    (row,) = sweep_interslit(Geometry(run.apparatus, run.detector, run.particle), [d], run.analysis)
     vis = summary["visibility"]
     assert row.visibility_null == vis["null"]
     assert row.visibility_det == vis["detected"]
@@ -161,7 +155,7 @@ def test_sweep_rejects_bad_entry_before_computing(count_propagations, tmp_path, 
     path.write_text(json.dumps(cfg))
     out = tmp_path / "paper"
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 3
-    assert "d_values[8]=9450" in capsys.readouterr().err
+    assert "sweep.d_values[8]=9450.0 gives invalid geometry: " in capsys.readouterr().err
     assert count_propagations == []
     assert not out.exists()
 

@@ -413,6 +413,25 @@ def test_tiny_depth_epsilon_never_exits_1(command, tmp_path: Path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "paths"])
+def test_depth_epsilon_not_below_L2_exits_3_naming_the_key(command, tmp_path: Path, capsys, kernel_calls):
+    # A disc at or past the screen (desk L2 = 1e5) is refused by
+    # validate, before any propagation, for every command.
+    for eps in (1e5, 2e5):
+        cfg = _desk_variant(tmp_path, "detector", depth_epsilon=eps)
+        out = tmp_path / "never"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3, eps
+        err = capsys.readouterr().err
+        assert f"detector.depth_epsilon={eps} must be smaller than apparatus.L2=100000.0" in err, eps
+        assert kernel_calls == [], eps
+        assert not out.exists(), eps
+    # With the detector off there is no disc, and the depth is not
+    # checked (sweep measures the detector channels, so it needs one).
+    if command != "sweep":
+        cfg = _desk_variant(tmp_path, "detector", enabled=False, depth_epsilon=1e5)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "off")]) == 0
+
+
 def test_kernel_phase_past_2_53_exits_3_naming_L1(tmp_path: Path, capsys, kernel_calls):
     # Over L1 = 1e-200 the kernel phase is ~3e204 rad: finite, but a
     # double holds no digit of it modulo 2 pi.

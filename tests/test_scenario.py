@@ -10,8 +10,8 @@ from twoslit.errors import InvalidArgumentError, InvalidStateError
 from twoslit.propagator import GridSpec, point_source_field, propagate, propagate_pair, transmitted_power
 from twoslit.scenario import (
     ChannelSet,
+    _mixture,
     barrier_field,
-    combined_intensity,
     crossing_window,
     detection_probability,
     disc_window,
@@ -202,18 +202,20 @@ def test_detected_channel_weights(desk_apparatus, desk_detector, desk_particle):
 
 
 def test_combined_intensity_limits(desk_apparatus, desk_detector, desk_particle):
+    # ChannelSet.combined is the one mixture of the unit-area channel
+    # intensities; _mixture weighs any two profiles on one grid.
     cs = ChannelSet(Geometry(desk_apparatus.with_slit_separation(50.0), desk_detector, desk_particle))
-    null, det = cs.null, cs.detected
-    i_null = intensity(null)
-    i_det = intensity(det)
-    assert np.array_equal(combined_intensity(null, det, 0.0).values, i_null.values)
-    assert np.array_equal(combined_intensity(null, det, 1.0).values, i_det.values)
-    assert np.array_equal(cs.combined.values, combined_intensity(null, det, cs.p_det).values)
-    mix = combined_intensity(null, det, 0.3)
+    i_null = intensity(cs.null)
+    i_det = intensity(cs.detected)
+    assert _mixture(i_null, i_det, 0.0) is i_null
+    assert _mixture(i_null, i_det, 1.0) is i_det
+    assert cs.combined.grid is cs.geometry.screen
+    assert np.array_equal(cs.combined.values, _mixture(i_null, i_det, cs.p_det).values)
+    mix = _mixture(i_null, i_det, 0.3)
     want = 0.7 * i_null.values + 0.3 * i_det.values
     assert np.allclose(mix.values, want, rtol=0.0, atol=1e-18)
     with pytest.raises(InvalidArgumentError):
-        combined_intensity(null, det, 1.5)
+        _mixture(i_null, i_det, 1.5)
 
 
 def test_kick_visibility_factor():
