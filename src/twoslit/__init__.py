@@ -56,7 +56,6 @@ from .propagator import (
 )
 from .scenario import (
     ChannelSet,
-    CrossingWindow,
     crossing_window,
     detection_probability,
     kick_visibility_factor,
@@ -72,7 +71,6 @@ __all__ = [
     "Apparatus",
     "ChannelSet",
     "ConfigError",
-    "CrossingWindow",
     "DetectorConfig",
     "Geometry",
     "GridSpec",

@@ -1,10 +1,11 @@
 """Measurements on screen intensity profiles: fringe visibility (global
-and locally windowed), fringe spacing, a closed-form far-field oracle,
-onset-of-interference statistics, and the rows of the slit-separation
-sweep (scenario.sweep_interslit fills them).
+and locally windowed), fringe spacing, a closed-form far-field oracle on
+a Geometry's screen grid, onset-of-interference statistics, and the rows
+of the slit-separation sweep (scenario.sweep_interslit fills them).
 
 A profile lives on one GridSpec, as a PlaneField does; profiles on equal
-GridSpecs share a grid.  IntensityProfile.unit_area is the one place an
+GridSpecs share a grid.  A profile's values are finite: a non-finite one
+raises NumericalError.  IntensityProfile.unit_area is the one place an
 intensity is scaled to unit area.
 
 Visibility here is an extremum-ensemble contrast,
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apparatus import Apparatus, GridSpec, Particle
+from .apparatus import Geometry, GridSpec
 from .config import AnalysisSettings
-from .errors import InvalidArgumentError, NoFringesError
+from .errors import InvalidArgumentError, NoFringesError, NumericalError
 from .propagator import PlaneField
 
 # Adjacent extrema whose value gap is below PRUNE_REL * (window value
@@ -57,7 +58,7 @@ class IntensityProfile:
                 f"profile needs one value per grid point, {self.grid.n}, got shape {self.values.shape}"
             )
         if not bool(np.all(np.isfinite(self.values))):
-            raise InvalidArgumentError("profile contains non-finite values")
+            raise NumericalError("profile contains non-finite values")
 
     @property
     def x(self) -> np.ndarray:
@@ -266,16 +267,16 @@ def fringe_spacing(profile: IntensityProfile) -> float:
     return n * profile.dx / k_star
 
 
-def fraunhofer_oracle(apparatus: Apparatus, particle: Particle) -> IntensityProfile:
-    """Closed-form far-field two-slit pattern on the screen grid:
-    cos^2(pi d u) * sinc^2(w u) with u = x' / (lambda L2), x' measured
-    from the projected pattern center, unit-area normalized."""
-    grid = GridSpec(apparatus.screen_min, apparatus.screen_max, apparatus.screen_samples)
-    mid = 0.5 * (apparatus.slit_A_center + apparatus.slit_B_center)
-    center = mid + (mid - apparatus.source_x) * apparatus.L2 / apparatus.L1
-    u = (grid.x - center) / (particle.de_broglie_wavelength * apparatus.L2)
-    d = apparatus.slit_separation
-    w = apparatus.slit_width
+def fraunhofer_oracle(geometry: Geometry) -> IntensityProfile:
+    """Closed-form far-field two-slit pattern on the geometry's screen
+    grid: cos^2(pi d u) * sinc^2(w u) with u = x' / (lambda L2), x'
+    measured from the projected pattern center, unit-area normalized."""
+    a, grid = geometry.apparatus, geometry.screen
+    mid = 0.5 * (a.slit_A_center + a.slit_B_center)
+    center = mid + (mid - a.source_x) * a.L2 / a.L1
+    u = (grid.x - center) / (geometry.particle.de_broglie_wavelength * a.L2)
+    d = a.slit_separation
+    w = a.slit_width
     return IntensityProfile.unit_area(grid, np.cos(np.pi * d * u) ** 2 * np.sinc(w * u) ** 2)
 
 

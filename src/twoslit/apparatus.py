@@ -14,8 +14,11 @@ The detector is a disc of radius rho centered at (slit_B_center, L1 +
 epsilon), i.e. just behind slit B.  Time of flight between planes a
 distance L apart is T = L / v (paraxial reduction).
 
-A Geometry builds every grid a run samples once; validate() returns the
-one it checked, and the CLI and scenario.ChannelSet read its grids.
+A Geometry builds every grid a run samples, and the disc need that sizes
+the disc grid, once.  validate() returns the one it checked, and
+everything that reads a run's setup takes it: the CLI,
+scenario.ChannelSet and its wrappers, scenario.crossing_window,
+analysis.fraunhofer_oracle and paths.experiment_paths.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-HBAR = 1.0
 BOHR_PER_CM = 1.8897261246e8
 
 
@@ -157,21 +159,6 @@ DISC_N_MIN = 128
 DISC_N_MAX = 32768
 
 
-def disc_samples_required(apparatus: Apparatus, detector: DetectorConfig, particle: Particle) -> int:
-    """Disc-plane samples needed to resolve the incoming stub phase and
-    the outgoing screen phase.  Needs depth_epsilon < L2.  A need past
-    2^53 (an infinite one, say, from a tiny depth_epsilon) reads as
-    2^53."""
-    rho = detector.radius_rho
-    eps = detector.depth_epsilon
-    a = apparatus
-    screen_abs = max(abs(a.screen_min), abs(a.screen_max))
-    rate = particle.momentum * (
-        (rho + a.slit_width) / eps + (screen_abs + rho + abs(a.slit_B_center)) / (a.L2 - eps)
-    )
-    return int(math.ceil(min(2.0 * rho * rate * _DISC_POINTS_PER_RADIAN, 2.0**53)))
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on [lo, hi].
@@ -245,12 +232,20 @@ class Geometry:
 
     @cached_property
     def disc_need(self) -> int | None:
-        """disc_samples_required, or None when there is no disc to
-        sample: the detector is off, or depth_epsilon >= L2."""
+        """Disc-plane samples needed to resolve the incoming stub phase
+        and the outgoing screen phase, or None when there is no disc to
+        sample: the detector is off, or depth_epsilon >= L2.  A need past
+        2^53 (an infinite one, say, from a tiny depth_epsilon) reads as
+        2^53."""
         a, det = self.apparatus, self.detector
         if not (det.enabled and det.depth_epsilon < a.L2):
             return None
-        return disc_samples_required(a, det, self.particle)
+        rho, eps = det.radius_rho, det.depth_epsilon
+        screen_abs = max(abs(a.screen_min), abs(a.screen_max))
+        rate = self.particle.momentum * (
+            (rho + a.slit_width) / eps + (screen_abs + rho + abs(a.slit_B_center)) / (a.L2 - eps)
+        )
+        return int(math.ceil(min(2.0 * rho * rate * _DISC_POINTS_PER_RADIAN, 2.0**53)))
 
     @cached_property
     def disc(self) -> GridSpec | None:

@@ -14,12 +14,14 @@ detector off.  scenario.sweep_interslit does the same per validated
 sweep.d_values entry of that Geometry; both first check, on its screen
 grid, that analysis.central_window holds enough screen samples and, with
 the detector on, that analysis.local_window_width spans enough of them.
-paths writes the bundles and crossing counts of paths.experiment_paths
-and runs no propagation.
+sweep refuses a run with the detector off before any propagation.  paths
+writes the bundles and crossing counts of paths.experiment_paths on the
+Geometry validate returns, and runs no propagation.
 
 Exit codes: 0 success; 2 unusable input (missing/invalid config file,
 schema violation, bad uncertainty arguments); 3 physically invalid
-configuration; 4 internal numerical failure.
+configuration; 4 internal numerical failure (a field or profile with
+non-finite values, NumericalError).
 
 All artifacts are computed fully before anything is written, each as a
 sequence of text chunks (paths.csv one chunk per bundle, so no single
@@ -195,10 +197,6 @@ def _simulate_artifacts(cfg: RunConfig) -> dict[str, list[str]]:
         {"code": issue.code, "message": issue.message} for issue in report.warnings()
     ]
 
-    for name, col in columns.items():
-        if not bool(np.all(np.isfinite(col))):
-            raise NumericalError(f"non-finite values in {name}")
-
     artifacts: dict[str, list[str]] = {}
     if cfg.output.emit_csv:
         artifacts["intensity.csv"] = [_csv_text(["x_bohr", *columns], [x, *columns.values()])]
@@ -248,12 +246,10 @@ def _bundle_rows(bundle_id: str, bundle: paths_mod.PathBundle) -> str:
 def _paths_artifacts(cfg: RunConfig, seed_override: int | None) -> dict[str, list[str]]:
     if cfg.paths is None:
         raise ConfigError("paths", "missing required section for the paths command")
-    _validated(cfg)
+    geometry = _validated(cfg).geometry
     ps = cfg.paths
     seed = ps.seed if seed_override is None else seed_override
-    bundles, pairs = paths_mod.experiment_paths(
-        cfg.apparatus, cfg.detector, cfg.particle, ps.n_paths, ps.n_slices, seed
-    )
+    bundles, pairs = paths_mod.experiment_paths(geometry, ps.n_paths, ps.n_slices, seed)
     crossings = {"seed": seed, "pairs": pairs, "total": sum(pairs.values())}
 
     artifacts: dict[str, list[str]] = {}

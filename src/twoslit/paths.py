@@ -13,6 +13,9 @@ x per path and slice; per path, its count of valid events and a
 truncation flag.  bundle.paths gives per-path views (Path) that build
 event objects only when asked, which the paths command never does.
 
+experiment_paths builds the paths command's bundles from a run's
+validated apparatus.Geometry.
+
 The estimator mc_kernel_estimate averages exp(i(S_path - S_classical))
 over a bridge ensemble and multiplies by the analytically known mean of
 that phase under the bridge measure, so its expectation is exactly the
@@ -30,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .apparatus import Apparatus, DetectorConfig, Particle
+from .apparatus import Geometry, Particle
 from .errors import InvalidArgumentError
 from .propagator import free_kernel
 
@@ -211,10 +214,11 @@ def crossing_count(a: PathBundle, b: PathBundle) -> tuple[int, list[SpacetimeEve
 
 
 def experiment_paths(
-    app: Apparatus, det: DetectorConfig, particle: Particle, n_paths: int, n_slices: int, seed: int
+    geometry: Geometry, n_paths: int, n_slices: int, seed: int
 ) -> tuple[dict[str, PathBundle], dict[str, int]]:
-    """The paths command's bundles by id, in output order, and the
-    crossing count of S_to_B with each A_to_screen_k."""
+    """The paths command's bundles of the geometry by id, in output
+    order, and the crossing count of S_to_B with each A_to_screen_k."""
+    app, det, particle = geometry.apparatus, geometry.detector, geometry.particle
     v = particle.velocity
     t1, t2 = app.L1 / v, app.L2 / v
     source = SpacetimeEvent(x=app.source_x, z=0.0, t=0.0)

@@ -19,9 +19,9 @@ by direct sums, because a visibility verdict hangs on their exact tie
 (see kernels).  Either way the result is bit-identical for any thread
 count and on every run.
 
-A PlaneField is values on the points of one GridSpec, so its x and dx
-cannot disagree; GridSpec and the Geometry that builds a run's grids live
-in apparatus.  The chirp-z path needs uniform grids: a grid's points lie
+A PlaneField is finite values on the points of one GridSpec (non-finite
+ones raise NumericalError), so its x and dx cannot disagree; GridSpec and
+the Geometry that builds a run's grids live in apparatus.  The chirp-z path needs uniform grids: a grid's points lie
 dx apart up to rounding, and apparatus.validate asks every grid of a
 geometry for its step_error verdict before anything propagates.
 """
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import kernels
 from .apparatus import GridSpec, Particle
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class PlaneField:
                 f"field needs one value per grid point, {self.grid.n}, got shape {self.values.shape}"
             )
         if not np.all(np.isfinite(self.values)):
-            raise InvalidArgumentError("field values must be finite")
+            raise NumericalError("field values must be finite")
 
     @property
     def x(self) -> np.ndarray:
@@ -64,19 +64,18 @@ class PlaneField:
         return self.grid.dx
 
 
+def _kernel_prefactor(mass: float, time: float) -> complex:
+    return cmath.sqrt(mass / (2.0j * math.pi * time))
+
+
 def free_kernel(x_b: float, x_a: float, mass: float, time: float) -> complex:
     """Free kernel value; modulus sqrt(m/(2 pi T)) for any positions."""
     if not (time > 0.0):
         raise InvalidArgumentError(f"time must be > 0, got {time}")
     if not (mass > 0.0):
         raise InvalidArgumentError(f"mass must be > 0, got {mass}")
-    pref = cmath.sqrt(mass / (2.0j * math.pi * time))
     d = x_b - x_a
-    return pref * cmath.exp(1j * (mass * d * d / (2.0 * time)))
-
-
-def _kernel_prefactor(mass: float, time: float) -> complex:
-    return cmath.sqrt(mass / (2.0j * math.pi * time))
+    return _kernel_prefactor(mass, time) * cmath.exp(1j * (mass * d * d / (2.0 * time)))
 
 
 def _flight(L: float, particle: Particle) -> tuple[complex, float]:

@@ -20,8 +20,11 @@ kick_reference   |psi_A|^2 + |psi_B|^2 + 2*gamma*Re(psi_A conj(psi_B))
                  independent decoherence surrogate used as an oracle
 
 The channels are PlaneFields on the set's screen grid; the detection
-probability p_det weighs them in the mixture.  A ChannelSet reads the
-grids of one apparatus.Geometry and builds the two barrier fields (each
+probability p_det weighs them in the mixture.  Every function here that
+reads a run's setup takes one apparatus.Geometry; the detector channels,
+crossing_window and sweep_interslit refuse one with the detector off (naming
+detector.enabled) or a disc outside (0, L2).  A ChannelSet reads the
+grids of its Geometry and builds the two barrier fields (each
 slit's source amplitude across its aperture) once; the slit pair, p_det,
 the stub and the trapped capture all read them.  It propagates each
 field once, in order: psi_A and psi_B at the screen, as one pair; the B stub
@@ -58,7 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from .analysis import IntensityProfile, SweepRow, intensity, measure_channels
-from .apparatus import Apparatus, DetectorConfig, Geometry, Particle, validate
+from .apparatus import Geometry, validate
 from .config import AnalysisSettings
 from .errors import InvalidArgumentError, InvalidStateError
 from .propagator import (
@@ -110,36 +113,36 @@ def disc_window(u: np.ndarray) -> np.ndarray:
     return w
 
 
-def _require_detector(apparatus: Apparatus, detector: DetectorConfig) -> None:
-    if not detector.enabled:
-        raise InvalidStateError("detector is disabled")
-    if not (detector.depth_epsilon < apparatus.L2):
+def _require_detector(geometry: Geometry) -> None:
+    """Refuse a geometry with no disc: the detector is off, or the disc
+    does not lie between the barrier and the screen."""
+    det, L2 = geometry.detector, geometry.apparatus.L2
+    if not det.enabled:
+        raise InvalidStateError("detector.enabled is false: the detector is disabled")
+    if not (0.0 < det.depth_epsilon < L2):
         raise InvalidArgumentError(
-            f"depth_epsilon={detector.depth_epsilon} must be smaller than L2={apparatus.L2}"
+            f"detector.depth_epsilon={det.depth_epsilon} must lie between 0 and apparatus.L2={L2}"
         )
 
 
-def stub_source(apparatus: Apparatus, detector: DetectorConfig, particle: Particle) -> PlaneField:
+def stub_source(geometry: Geometry) -> PlaneField:
     """Slit-B amplitude carried to the disc plane and terminated there
     (see ChannelSet.stub)."""
-    return ChannelSet(Geometry(apparatus, detector, particle)).stub
+    return ChannelSet(geometry).stub
 
 
-def crossing_window(apparatus: Apparatus, detector: DetectorConfig) -> CrossingWindow:
+def crossing_window(geometry: Geometry) -> CrossingWindow:
     """Slope band [(d - rho)/eps, (d + rho)/eps] from slit A, imaged to
     the screen as x = slit_A_center + slope * L2."""
-    if not detector.enabled:
-        raise InvalidStateError("detector is disabled")
-    if not (detector.depth_epsilon > 0.0):
-        raise InvalidArgumentError(f"depth_epsilon must be > 0, got {detector.depth_epsilon}")
-    d = apparatus.slit_separation
-    s_lo = (d - detector.radius_rho) / detector.depth_epsilon
-    s_hi = (d + detector.radius_rho) / detector.depth_epsilon
+    _require_detector(geometry)
+    a, det = geometry.apparatus, geometry.detector
+    d, rho, eps = a.slit_separation, det.radius_rho, det.depth_epsilon
+    s_lo, s_hi = (d - rho) / eps, (d + rho) / eps
     return CrossingWindow(
         slope_lo=s_lo,
         slope_hi=s_hi,
-        screen_lo=apparatus.slit_A_center + s_lo * apparatus.L2,
-        screen_hi=apparatus.slit_A_center + s_hi * apparatus.L2,
+        screen_lo=a.slit_A_center + s_lo * a.L2,
+        screen_hi=a.slit_A_center + s_hi * a.L2,
     )
 
 
@@ -186,7 +189,7 @@ class ChannelSet:
     def stub(self) -> PlaneField:
         """Slit-B amplitude propagated over epsilon, then restricted to
         the disc window."""
-        _require_detector(self.apparatus, self.detector)
+        _require_detector(self.geometry)
         return self._disc_capture("B")
 
     @cached_property
@@ -199,9 +202,8 @@ class ChannelSet:
         the disc support entirely; otherwise the A amplitude at the disc
         plane restricted by the disc window.
         """
-        app, det = self.apparatus, self.detector
-        _require_detector(app, det)
-        eps = det.depth_epsilon
+        _require_detector(self.geometry)
+        app, eps = self.apparatus, self.detector.depth_epsilon
         lo_edge, hi_edge = app.slit_A_interval
         cone_lo = lo_edge + eps * (lo_edge - app.source_x) / app.L1
         cone_hi = hi_edge + eps * (hi_edge - app.source_x) / app.L1
@@ -214,8 +216,8 @@ class ChannelSet:
     def p_det(self) -> float:
         """Probability that the detector fires: disc-captured B power over
         total transmitted power (or the configured override)."""
+        _require_detector(self.geometry)
         det = self.detector
-        _require_detector(self.apparatus, det)
         if det.detection_probability_override is not None:
             return det.detection_probability_override
         total = sum(transmitted_power(f) for f in self._barrier.values())
@@ -235,7 +237,7 @@ class ChannelSet:
         """psi_A plus the stub image masked to the crossing window, ramped
         over one grid cell; psi_A alone when the window misses the screen."""
         psi_a = self.psi_a
-        win = crossing_window(self.apparatus, self.detector)
+        win = crossing_window(self.geometry)
         x, dx = psi_a.x, psi_a.dx
         if not win.intersects(x[0] - dx, x[-1] + dx):
             return psi_a
@@ -269,19 +271,16 @@ class ChannelSet:
     @cached_property
     def kick_reference(self) -> IntensityProfile:
         """Two-slit pattern with the cross term damped by gamma(d, lambda_ph)."""
-        if not self.detector.enabled:
-            raise InvalidStateError("detector is disabled")
+        _require_detector(self.geometry)
         a, b = self.psi_a.values, self.psi_b.values
         gamma = kick_visibility_factor(self.apparatus.slit_separation, self.detector.photon_wavelength)
         vals = np.abs(a) ** 2 + np.abs(b) ** 2 + 2.0 * gamma * np.real(a * np.conj(b))
         return IntensityProfile.unit_area(self.psi_a.grid, vals)
 
 
-def detection_probability(
-    apparatus: Apparatus, detector: DetectorConfig, particle: Particle
-) -> float:
+def detection_probability(geometry: Geometry) -> float:
     """Probability that the detector fires (see ChannelSet.p_det)."""
-    return ChannelSet(Geometry(apparatus, detector, particle)).p_det
+    return ChannelSet(geometry).p_det
 
 
 def _mixture(i_null: IntensityProfile, i_det: IntensityProfile, p_det: float) -> IntensityProfile:
@@ -307,10 +306,12 @@ def sweep_interslit(
     geometry: Geometry, d_values: list[float], settings: AnalysisSettings
 ) -> tuple[SweepRow, ...]:
     """Run every channel of the geometry at each slit separation and
-    tabulate the verdict measurements.  Every re-centered apparatus is
+    tabulate the verdict measurements.  A geometry with the detector off
+    is refused before anything else.  Every re-centered apparatus is
     validated before any is computed; an invalid entry aborts naming
     its key, sweep.d_values[i]; then one ChannelSet at a time measures
     each geometry."""
+    _require_detector(geometry)
     if len(d_values) == 0:
         raise InvalidArgumentError("sweep.d_values is empty")
     detector, particle = geometry.detector, geometry.particle

@@ -154,9 +154,9 @@ def test_onset_enters_from_crossing_side(desk_apparatus, desk_detector, desk_par
     on_screen = [
         d
         for d in D_SWEEP
-        if crossing_window(desk_apparatus.with_slit_separation(d), desk_detector).intersects(
-            desk_apparatus.screen_min, desk_apparatus.screen_max
-        )
+        if crossing_window(
+            Geometry(desk_apparatus.with_slit_separation(d), desk_detector, desk_particle)
+        ).intersects(desk_apparatus.screen_min, desk_apparatus.screen_max)
     ]
     d_edge = max(on_screen)
     app = desk_apparatus.with_slit_separation(d_edge)

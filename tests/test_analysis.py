@@ -15,7 +15,7 @@ from twoslit.analysis import (
     onset_metrics,
     visibility,
 )
-from twoslit.errors import InvalidArgumentError, NoFringesError
+from twoslit.errors import InvalidArgumentError, NoFringesError, NumericalError
 from twoslit.apparatus import Geometry
 from twoslit.config import AnalysisSettings
 from twoslit.propagator import GridSpec, PlaneField
@@ -50,7 +50,7 @@ def test_profile_refuses_wrong_shape_and_non_finite_values():
     for bad in (math.nan, math.inf, -math.inf):
         values = np.ones(16)
         values[3] = bad
-        with pytest.raises(InvalidArgumentError, match="non-finite"):
+        with pytest.raises(NumericalError, match="non-finite"):
             IntensityProfile(grid, values)
 
 
@@ -167,8 +167,8 @@ def test_fringe_spacing_rejects_featureless():
         fringe_spacing(_profile(x[:3], np.array([1.0, 2.0, 1.0])))
 
 
-def test_fraunhofer_oracle(desk_apparatus, desk_particle):
-    prof = fraunhofer_oracle(desk_apparatus, desk_particle)
+def test_fraunhofer_oracle(desk_apparatus, desk_detector, desk_particle):
+    prof = fraunhofer_oracle(Geometry(desk_apparatus, desk_detector, desk_particle))
     assert float(np.trapezoid(prof.values, prof.x)) == pytest.approx(1.0, rel=1e-12)
     want = desk_particle.de_broglie_wavelength * desk_apparatus.L2 / desk_apparatus.slit_separation
     assert fringe_spacing(prof) == pytest.approx(want, rel=1e-3)
@@ -177,10 +177,11 @@ def test_fraunhofer_oracle(desk_apparatus, desk_particle):
     assert np.max(np.abs(prof.values - sym)) / np.max(prof.values) < 1e-12
 
 
-def test_fraunhofer_center_tracks_source(desk_apparatus, desk_particle):
+def test_fraunhofer_center_tracks_source(desk_apparatus, desk_detector, desk_particle):
     fine = dataclasses.replace(desk_apparatus, screen_samples=16384)
-    on_axis = fraunhofer_oracle(fine, desk_particle)
-    shifted = fraunhofer_oracle(dataclasses.replace(fine, source_x=100.0), desk_particle)
+    on_axis = fraunhofer_oracle(Geometry(fine, desk_detector, desk_particle))
+    moved = dataclasses.replace(fine, source_x=100.0)
+    shifted = fraunhofer_oracle(Geometry(moved, desk_detector, desk_particle))
     # source at +100 projects the whole pattern to -100 on an L1 = L2
     # system: the shifted oracle is the on-axis one translated by -100
     interior = np.abs(shifted.x) < 1.0e5

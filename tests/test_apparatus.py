@@ -10,7 +10,6 @@ from twoslit.apparatus import (
     Apparatus,
     Geometry,
     cm_to_bohr,
-    disc_samples_required,
     make_detector,
     make_particle,
     validate,
@@ -158,12 +157,12 @@ def test_validate_warns_when_disc_grid_is_clamped(desk_apparatus, desk_particle)
     # is an error naming both detector keys, and the geometry refuses
     # to build that disc grid.
     det = make_detector(enabled=True, photon_wavelength=20.0, radius_rho=20.0, depth_epsilon=5.0)
-    assert disc_samples_required(desk_apparatus, det, desk_particle) == 993
+    assert Geometry(desk_apparatus, det, desk_particle).disc_need == 993
     report = validate(desk_apparatus, det, desk_particle)
     assert report.ok and report.geometry.disc.n == 993
 
     wide = make_detector(enabled=True, photon_wavelength=20.0, radius_rho=1000.0, depth_epsilon=5.0)
-    need = disc_samples_required(desk_apparatus, wide, desk_particle)
+    need = Geometry(desk_apparatus, wide, desk_particle).disc_need
     assert need > DISC_N_MAX
     report = validate(desk_apparatus, wide, desk_particle)
     (issue,) = report.errors()
@@ -178,7 +177,7 @@ def test_validate_warns_when_disc_grid_is_clamped(desk_apparatus, desk_particle)
 def test_infinite_disc_requirement_reads_as_clamped(desk_apparatus, desk_particle):
     # (rho + w) / epsilon overflows to inf at epsilon = 1e-308
     thin = make_detector(enabled=True, photon_wavelength=20.0, radius_rho=20.0, depth_epsilon=1e-308)
-    assert disc_samples_required(desk_apparatus, thin, desk_particle) == 2**53
+    assert Geometry(desk_apparatus, thin, desk_particle).disc_need == 2**53
     # the kernel phase over that depth is not finite either: an error on the key
     # that need is past the cap, and the kernel phase over that depth is
     # not finite either: two errors, each naming the key
@@ -188,6 +187,6 @@ def test_infinite_disc_requirement_reads_as_clamped(desk_apparatus, desk_particl
     assert phase.code == "phase_too_large" and phase.message.startswith("detector.depth_epsilon: ")
     # a finite depth past the cap is refused the same way
     shallow = make_detector(enabled=True, photon_wavelength=20.0, radius_rho=20.0, depth_epsilon=1e-3)
-    assert disc_samples_required(desk_apparatus, shallow, desk_particle) > DISC_N_MAX
+    assert Geometry(desk_apparatus, shallow, desk_particle).disc_need > DISC_N_MAX
     (issue,) = validate(desk_apparatus, shallow, desk_particle).errors()
     assert issue.code == "unresolved_disc_grid" and "detector.depth_epsilon" in issue.message

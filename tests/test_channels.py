@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twoslit import apparatus, scenario
+from twoslit import scenario
 from twoslit.analysis import intensity, measure_channels
 from twoslit.apparatus import Geometry, make_detector
 from twoslit.cli import main
@@ -44,7 +44,7 @@ def test_detected_image_propagates_the_disc_sum(d, desk_apparatus, desk_detector
     # The detected channel is the propagated sum stub + trapped, formed
     # at the disc, not the sum of the two screen images.
     app = desk_apparatus.with_slit_separation(d)
-    stub = stub_source(app, desk_detector, desk_particle)
+    stub = stub_source(Geometry(app, desk_detector, desk_particle))
     trapped = ChannelSet(Geometry(app, desk_detector, desk_particle)).trapped
     if trapped is not None:
         stub = PlaneField(stub.grid, stub.values + trapped.values)
@@ -78,22 +78,23 @@ def test_sweep_propagations_per_geometry(
 @pytest.fixture
 def grid_builds(monkeypatch):
     """Logs of the grids whose points or uniformity verdict are computed,
-    and of the disc_samples_required and barrier_field calls."""
+    of the geometries whose disc need is computed, and of the
+    barrier_field calls."""
     logs = {"points": [], "verdicts": [], "disc_need": [], "barrier": []}
-    for name, log in (("x", logs["points"]), ("step_error", logs["verdicts"])):
-        cached = GridSpec.__dict__[name]  # a functools.cached_property
+    for cls, name, log in (
+        (GridSpec, "x", logs["points"]),
+        (GridSpec, "step_error", logs["verdicts"]),
+        (Geometry, "disc_need", logs["disc_need"]),
+    ):
+        cached = cls.__dict__[name]  # a functools.cached_property
 
-        def logged(grid, _func=cached.func, _log=log):
-            _log.append(grid)  # keeps the grid alive, so its id stays unique
-            return _func(grid)
+        def logged(obj, _func=cached.func, _log=log):
+            _log.append(obj)  # keeps the object alive, so its id stays unique
+            return _func(obj)
 
         monkeypatch.setattr(cached, "func", logged)
-    for module, name, log in (
-        (apparatus, "disc_samples_required", logs["disc_need"]),
-        (scenario, "barrier_field", logs["barrier"]),
-    ):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, _real=real, _log=log: _log.append(args) or _real(*args))
+    real = scenario.barrier_field
+    monkeypatch.setattr(scenario, "barrier_field", lambda *args: logs["barrier"].append(args) or real(*args))
     return logs
 
 

@@ -9,10 +9,11 @@ import threading
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twoslit
-from twoslit import kernels
+from twoslit import kernels, scenario
 from twoslit.apparatus import make_particle
 from twoslit.cli import _write_atomic, main
 from twoslit.paths import SpacetimeEvent, mc_kernel_estimate
@@ -452,6 +453,30 @@ def test_unresolvable_disc_grid_exits_3(command, tmp_path: Path, capsys, kernel_
     assert main([command, "--config", cfg, "--out", str(out)]) == 3
     assert "detector.depth_epsilon, detector.radius_rho: " in capsys.readouterr().err
     assert kernel_calls == []
+    assert not out.exists()
+
+
+def test_sweep_with_detector_off_exits_3_naming_the_key(tmp_path: Path, capsys, kernel_calls, monkeypatch):
+    # The sweep measures only the detector channels: with the detector
+    # off it is refused before any entry is validated or propagated.
+    entries = []
+    real = scenario.validate
+    monkeypatch.setattr(scenario, "validate", lambda *args: entries.append(args) or real(*args))
+    cfg = _desk_variant(tmp_path, "detector", enabled=False)
+    out = tmp_path / "never"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    assert "invalid configuration: detector.enabled is false" in capsys.readouterr().err
+    assert kernel_calls == [] and entries == []
+    assert not out.exists()
+
+
+def test_non_finite_field_exits_4(tmp_path: Path, capsys, monkeypatch):
+    # A propagation that returns NaN is a numerical failure, not an
+    # invalid configuration.
+    monkeypatch.setattr(kernels, "propagate_sum", lambda x_out, *args: np.full(x_out.size, np.nan, complex))
+    out = tmp_path / "never"
+    assert main(["simulate", "--config", str(CONFIGS / "desk.json"), "--out", str(out)]) == 4
+    assert "numerical failure: field values must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -14,7 +14,7 @@ from twoslit import kernels
 from twoslit.apparatus import Geometry, make_particle
 from twoslit.cli import main
 from twoslit.config import load_config
-from twoslit.errors import InvalidArgumentError
+from twoslit.errors import InvalidArgumentError, NumericalError
 from twoslit.propagator import (
     GridSpec,
     PlaneField,
@@ -137,7 +137,7 @@ def test_plane_field_validation():
         PlaneField(grid, np.ones(3, dtype=complex))
     bad = np.ones(4, dtype=complex)
     bad[2] = np.nan
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(NumericalError, match="finite"):
         PlaneField(grid, bad)
     f = PlaneField(grid, np.ones(4, dtype=complex))
     assert f.x is grid.x and f.dx == grid.dx

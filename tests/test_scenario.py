@@ -82,10 +82,10 @@ def _small_apparatus() -> Apparatus:
     )
 
 
-def test_crossing_window_geometry():
+def test_crossing_window_geometry(desk_particle):
     app = _small_apparatus()
     det = make_detector(enabled=True, photon_wavelength=1.0, radius_rho=1.0, depth_epsilon=1.0)
-    win = crossing_window(app, det)
+    win = crossing_window(Geometry(app, det, desk_particle))
     assert win.slope_lo == pytest.approx(9.0)
     assert win.slope_hi == pytest.approx(11.0)
     assert win.screen_lo == pytest.approx(895.0)
@@ -95,21 +95,21 @@ def test_crossing_window_geometry():
     assert win.intersects(1095.0, 2000.0)  # closed at the edges
 
     # once d <= rho the window straddles slope zero
-    win0 = crossing_window(app.with_slit_separation(0.8), det)
+    win0 = crossing_window(Geometry(app.with_slit_separation(0.8), det, desk_particle))
     assert win0.slope_lo < 0.0 < win0.slope_hi
 
 
-def test_crossing_window_domain():
+def test_crossing_window_domain(desk_particle):
     app = _small_apparatus()
     with pytest.raises(InvalidStateError):
-        crossing_window(app, make_detector(enabled=False, photon_wavelength=1.0))
+        crossing_window(Geometry(app, make_detector(enabled=False, photon_wavelength=1.0), desk_particle))
     bad = DetectorConfig(enabled=True, photon_wavelength=1.0, radius_rho=1.0, depth_epsilon=0.0)
     with pytest.raises(InvalidArgumentError):
-        crossing_window(app, bad)
+        crossing_window(Geometry(app, bad, desk_particle))
 
 
 def test_stub_source_confined_to_disc(desk_apparatus, desk_detector, desk_particle):
-    stub = stub_source(desk_apparatus, desk_detector, desk_particle)
+    stub = stub_source(Geometry(desk_apparatus, desk_detector, desk_particle))
     assert np.all(np.abs(stub.x - desk_apparatus.slit_B_center) <= desk_detector.radius_rho)
     peak = float(np.max(np.abs(stub.values)))
     assert abs(stub.values[0]) < 1e-3 * peak
@@ -120,13 +120,13 @@ def test_disc_operations_require_detector(desk_apparatus, desk_particle):
     off = make_detector(enabled=False, photon_wavelength=20.0)
     for fn in (stub_source, detection_probability):
         with pytest.raises(InvalidStateError):
-            fn(desk_apparatus, off, desk_particle)
+            fn(Geometry(desk_apparatus, off, desk_particle))
     for name in ("trapped", "null", "detected"):
         with pytest.raises(InvalidStateError):
             getattr(ChannelSet(Geometry(desk_apparatus, off, desk_particle)), name)
     deep = make_detector(enabled=True, photon_wavelength=20.0, depth_epsilon=2.0e5)
     with pytest.raises(InvalidArgumentError):
-        stub_source(desk_apparatus, deep, desk_particle)
+        stub_source(Geometry(desk_apparatus, deep, desk_particle))
 
 
 def test_trapped_a_gating(desk_apparatus, desk_detector, desk_particle):
@@ -143,14 +143,14 @@ def test_detection_probability_override(desk_apparatus, desk_particle):
         enabled=True, photon_wavelength=20.0, radius_rho=20.0, depth_epsilon=5.0,
         detection_probability_override=0.25,
     )
-    assert detection_probability(desk_apparatus, det, desk_particle) == 0.25
+    assert detection_probability(Geometry(desk_apparatus, det, desk_particle)) == 0.25
 
 
 def test_detection_probability_full_capture(desk_apparatus, desk_particle):
     # a disc much wider than slit B, just behind it, captures half of the
     # total transmitted amplitude when the slits match
     det = make_detector(enabled=True, photon_wavelength=20.0, radius_rho=60.0, depth_epsilon=1.0)
-    p = detection_probability(desk_apparatus, det, desk_particle)
+    p = detection_probability(Geometry(desk_apparatus, det, desk_particle))
     assert p == pytest.approx(0.5, abs=0.01)
 
 
@@ -190,7 +190,7 @@ def test_null_channel_gains_fringes_at_small_d(desk_apparatus, desk_detector, de
 
 def test_detected_channel_weights(desk_apparatus, desk_detector, desk_particle):
     cs = ChannelSet(Geometry(desk_apparatus, desk_detector, desk_particle))
-    p = detection_probability(desk_apparatus, desk_detector, desk_particle)
+    p = detection_probability(Geometry(desk_apparatus, desk_detector, desk_particle))
     assert cs.p_det == p
     assert 0.0 < p < 1.0
     # d = 25 rho: no trapped A amplitude, so the stub-only baseline equals
