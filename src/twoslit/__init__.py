@@ -5,7 +5,6 @@ Atomic units everywhere: hbar = electron mass = bohr = 1.
 """
 
 from .analysis import (
-    IntensityProfile,
     OnsetReport,
     SweepRow,
     fraunhofer_oracle,
@@ -74,7 +73,6 @@ __all__ = [
     "DetectorConfig",
     "Geometry",
     "GridSpec",
-    "IntensityProfile",
     "InvalidArgumentError",
     "InvalidStateError",
     "NoFringesError",

@@ -3,10 +3,9 @@ and locally windowed), fringe spacing, a closed-form far-field oracle on
 a Geometry's screen grid, onset-of-interference statistics, and the rows
 of the slit-separation sweep (scenario.sweep_interslit fills them).
 
-A profile lives on one GridSpec, as a PlaneField does; profiles on equal
-GridSpecs share a grid.  A profile's values are finite: a non-finite one
-raises NumericalError.  IntensityProfile.unit_area is the one place an
-intensity is scaled to unit area.
+An intensity profile is a propagator.PlaneField with real values;
+profiles on equal GridSpecs share a grid.  unit_area(grid, values) is
+the one place an intensity is scaled to unit area.
 
 Visibility here is an extremum-ensemble contrast,
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from .apparatus import Geometry, GridSpec
 from .config import AnalysisSettings
-from .errors import InvalidArgumentError, NoFringesError, NumericalError
+from .errors import InvalidArgumentError, NoFringesError
 from .propagator import PlaneField
 
 # Adjacent extrema whose value gap is below PRUNE_REL * (window value
@@ -44,37 +43,12 @@ PRUNE_REL = 1e-4
 MIN_WINDOW_SAMPLES = 16
 
 
-@dataclass(frozen=True)
-class IntensityProfile:
-    """Intensity sampled on the points of a grid; its x and dx are the
-    grid's."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.shape != self.grid.x.shape:
-            raise InvalidArgumentError(
-                f"profile needs one value per grid point, {self.grid.n}, got shape {self.values.shape}"
-            )
-        if not bool(np.all(np.isfinite(self.values))):
-            raise NumericalError("profile contains non-finite values")
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.x
-
-    @property
-    def dx(self) -> float:
-        return self.grid.dx
-
-    @classmethod
-    def unit_area(cls, grid: GridSpec, values: np.ndarray) -> "IntensityProfile":
-        """values on grid, scaled to unit trapezoid area."""
-        area = float(np.trapezoid(values, grid.x))
-        if not (area > 0.0):
-            raise InvalidArgumentError("cannot normalize a zero-intensity profile")
-        return cls(grid, values / area)
+def unit_area(grid: GridSpec, values: np.ndarray) -> PlaneField:
+    """values on grid, scaled to unit trapezoid area."""
+    area = float(np.trapezoid(values, grid.x))
+    if not (area > 0.0):
+        raise InvalidArgumentError("cannot normalize a zero-intensity profile")
+    return PlaneField(grid, values / area)
 
 
 @dataclass(frozen=True)
@@ -98,9 +72,9 @@ class SweepRow:
     p_det: float
 
 
-def intensity(field_in: PlaneField) -> IntensityProfile:
+def intensity(field_in: PlaneField) -> PlaneField:
     """|field|^2 scaled to unit trapezoid area."""
-    return IntensityProfile.unit_area(field_in.grid, np.abs(field_in.values) ** 2)
+    return unit_area(field_in.grid, np.abs(field_in.values) ** 2)
 
 
 def _strict_extrema(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +152,7 @@ def window_mask(x: np.ndarray, window: tuple[float, float]) -> np.ndarray:
     return sel
 
 
-def visibility(profile: IntensityProfile, window: tuple[float, float]) -> float:
+def visibility(profile: PlaneField, window: tuple[float, float]) -> float:
     """Extremum-ensemble fringe contrast inside [window_lo, window_hi]."""
     maxima, minima = _pruned_extrema(profile.values[window_mask(profile.x, window)])
     if not maxima or not minima:
@@ -202,7 +176,7 @@ def check_window_width(window_width: float, dx: float) -> None:
         )
 
 
-def local_visibility_profile(profile: IntensityProfile, window_width: float) -> np.ndarray:
+def local_visibility_profile(profile: PlaneField, window_width: float) -> np.ndarray:
     """Sliding-window visibility at every sample point.
 
     Raw strict extrema only (no refinement, no pruning); windows where
@@ -239,7 +213,7 @@ def local_visibility_profile(profile: IntensityProfile, window_width: float) -> 
     return np.clip(out, 0.0, 1.0)
 
 
-def fringe_spacing(profile: IntensityProfile) -> float:
+def fringe_spacing(profile: PlaneField) -> float:
     """Dominant fringe period from the profile's spectrum.
 
     The mean-removed profile must show a spectral peak at least 3x the
@@ -267,7 +241,7 @@ def fringe_spacing(profile: IntensityProfile) -> float:
     return n * profile.dx / k_star
 
 
-def fraunhofer_oracle(geometry: Geometry) -> IntensityProfile:
+def fraunhofer_oracle(geometry: Geometry) -> PlaneField:
     """Closed-form far-field two-slit pattern on the geometry's screen
     grid: cos^2(pi d u) * sinc^2(w u) with u = x' / (lambda L2), x'
     measured from the projected pattern center, unit-area normalized."""
@@ -277,12 +251,12 @@ def fraunhofer_oracle(geometry: Geometry) -> IntensityProfile:
     u = (grid.x - center) / (geometry.particle.de_broglie_wavelength * a.L2)
     d = a.slit_separation
     w = a.slit_width
-    return IntensityProfile.unit_area(grid, np.cos(np.pi * d * u) ** 2 * np.sinc(w * u) ** 2)
+    return unit_area(grid, np.cos(np.pi * d * u) ** 2 * np.sinc(w * u) ** 2)
 
 
 def onset_metrics(
-    profile: IntensityProfile,
-    baseline: IntensityProfile,
+    profile: PlaneField,
+    baseline: PlaneField,
     window_width: float,
     threshold: float = AnalysisSettings.onset_threshold,
 ) -> OnsetReport:
@@ -314,7 +288,7 @@ def onset_metrics(
 
 @dataclass(frozen=True)
 class ChannelMeasurements:
-    profiles: dict[str, IntensityProfile]  # null, detected, combined, kick_reference
+    profiles: dict[str, PlaneField]  # null, detected, combined, kick_reference
     visibility: dict[str, float]  # same keys, over the central window
     onset_null: OnsetReport
     onset_detected: OnsetReport

@@ -271,7 +271,7 @@ def cmd_uncertainty(confinement_size: float, mass: float, kinetic_energy: float)
         "delta_E": rep.delta_E,
         "delta_t": rep.delta_t,
     }
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     return EXIT_OK
 
 

@@ -20,8 +20,10 @@ by direct sums, because a visibility verdict hangs on their exact tie
 count and on every run.
 
 A PlaneField is finite values on the points of one GridSpec (non-finite
-ones raise NumericalError), so its x and dx cannot disagree; GridSpec and
-the Geometry that builds a run's grids live in apparatus.  The chirp-z path needs uniform grids: a grid's points lie
+ones raise NumericalError), so its x and dx cannot disagree: complex for
+an amplitude, real for an intensity (analysis.unit_area scales one to
+unit area).  GridSpec and the Geometry that builds a run's grids live in
+apparatus.  The chirp-z path needs uniform grids: a grid's points lie
 dx apart up to rounding, and apparatus.validate asks every grid of a
 geometry for its step_error verdict before anything propagates.
 """
@@ -41,8 +43,8 @@ from .errors import InvalidArgumentError, NumericalError
 
 @dataclass(frozen=True)
 class PlaneField:
-    """Complex amplitude sampled on the points of a grid at one plane;
-    its x and dx are the grid's."""
+    """Complex amplitude, or real intensity, sampled on the points of a
+    grid at one plane; its x and dx are the grid's."""
 
     grid: GridSpec
     values: np.ndarray

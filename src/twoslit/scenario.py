@@ -33,12 +33,12 @@ field at the disc, only when A's cone reaches it; the stub's screen
 image (stub_image, also the detected channel's no-interference
 baseline); the detected channel propagate(stub + trapped), the stub
 image itself when nothing is trapped.  That is 3 propagations per
-geometry, 5 when A's cone reaches the disc.  Each channel's unit-area
-intensity (an analysis.IntensityProfile on the screen grid) is built
-once and shared by the measurements and the mixture; ChannelSet.combined
-is the only mixture.  sweep_interslit measures one such set per
-validated slit separation of a run's Geometry, with the run's
-config.AnalysisSettings.
+geometry, 5 when A's cone reaches the disc.  Each channel's intensity
+is a PlaneField of real values on the screen grid, scaled by
+analysis.unit_area; it is built once and shared by the measurements and
+the mixture, and ChannelSet.combined is the only mixture.
+sweep_interslit measures one such set per validated slit separation of
+a run's Geometry, with the run's config.AnalysisSettings.
 
 The disc restriction multiplies by a flat-top window with C-infinity
 edges (support exactly [x_B - rho, x_B + rho]); a hard edge would add
@@ -60,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import IntensityProfile, SweepRow, intensity, measure_channels
+from .analysis import SweepRow, intensity, measure_channels, unit_area
 from .apparatus import Geometry, validate
 from .config import AnalysisSettings
 from .errors import InvalidArgumentError, InvalidStateError
@@ -156,7 +156,7 @@ class ChannelSet:
     def __init__(self, geometry: Geometry):
         self.geometry = geometry
         self.apparatus, self.detector, self.particle = geometry.apparatus, geometry.detector, geometry.particle
-        self._unit_intensities: dict[int, IntensityProfile] = {}  # by id of a kept field
+        self._unit_intensities: dict[int, PlaneField] = {}  # by id of a kept field
 
     @cached_property
     def _barrier(self) -> dict[str, PlaneField]:
@@ -254,7 +254,7 @@ class ChannelSet:
             return self.stub_image
         return self._disc_to_screen(PlaneField(self.geometry.disc, self.stub.values + self.trapped.values))
 
-    def unit_intensity(self, name: str) -> IntensityProfile:
+    def unit_intensity(self, name: str) -> PlaneField:
         """Unit-area intensity of the named field ("null", "detected",
         "psi_a", ...), built once per field: null is psi_a itself when
         the crossing window misses the screen, and detected the stub
@@ -265,17 +265,17 @@ class ChannelSet:
         return self._unit_intensities[id(field)]
 
     @cached_property
-    def combined(self) -> IntensityProfile:
+    def combined(self) -> PlaneField:
         return _mixture(self.unit_intensity("null"), self.unit_intensity("detected"), self.p_det)
 
     @cached_property
-    def kick_reference(self) -> IntensityProfile:
+    def kick_reference(self) -> PlaneField:
         """Two-slit pattern with the cross term damped by gamma(d, lambda_ph)."""
         _require_detector(self.geometry)
         a, b = self.psi_a.values, self.psi_b.values
         gamma = kick_visibility_factor(self.apparatus.slit_separation, self.detector.photon_wavelength)
         vals = np.abs(a) ** 2 + np.abs(b) ** 2 + 2.0 * gamma * np.real(a * np.conj(b))
-        return IntensityProfile.unit_area(self.psi_a.grid, vals)
+        return unit_area(self.psi_a.grid, vals)
 
 
 def detection_probability(geometry: Geometry) -> float:
@@ -283,7 +283,7 @@ def detection_probability(geometry: Geometry) -> float:
     return ChannelSet(geometry).p_det
 
 
-def _mixture(i_null: IntensityProfile, i_det: IntensityProfile, p_det: float) -> IntensityProfile:
+def _mixture(i_null: PlaneField, i_det: PlaneField, p_det: float) -> PlaneField:
     """Convex mixture of the unit-area channel intensities."""
     if not (0.0 <= p_det <= 1.0):
         raise InvalidArgumentError(f"p_det must lie in [0,1], got {p_det}")
@@ -293,7 +293,7 @@ def _mixture(i_null: IntensityProfile, i_det: IntensityProfile, p_det: float) ->
         return i_null
     if p_det == 1.0:
         return i_det
-    return IntensityProfile(i_null.grid, (1.0 - p_det) * i_null.values + p_det * i_det.values)
+    return PlaneField(i_null.grid, (1.0 - p_det) * i_null.values + p_det * i_det.values)
 
 
 def kick_visibility_factor(d: float, photon_wavelength: float) -> float:

@@ -4,6 +4,7 @@ delta_t = D/v, so both products are exactly 1."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .apparatus import Particle
@@ -28,14 +29,19 @@ class UncertaintyReport:
 
 
 def packet_uncertainties(particle: Particle, confinement_size: float) -> UncertaintyReport:
-    if not (confinement_size > 0.0):
-        raise InvalidArgumentError(f"confinement_size must be > 0, got {confinement_size}")
+    """Refuses a confinement_size that is not finite and > 0, or whose
+    spreads overflow."""
+    if not (0.0 < confinement_size < math.inf):
+        raise InvalidArgumentError(f"confinement_size must be finite and > 0, got {confinement_size}")
     d = confinement_size
     v = particle.velocity
-    return UncertaintyReport(
+    rep = UncertaintyReport(
         confinement_size=d,
         delta_p=1.0 / d,
         delta_x=d,
         delta_E=v / d,
         delta_t=d / v,
     )
+    if not all(math.isfinite(s) for s in (rep.delta_p, rep.delta_E, rep.delta_t)):
+        raise InvalidArgumentError(f"confinement_size={d} gives non-finite spreads")
+    return rep

@@ -7,12 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twoslit.analysis import (
-    IntensityProfile,
     fraunhofer_oracle,
     fringe_spacing,
     intensity,
     local_visibility_profile,
     onset_metrics,
+    unit_area,
     visibility,
 )
 from twoslit.errors import InvalidArgumentError, NoFringesError, NumericalError
@@ -22,9 +22,9 @@ from twoslit.propagator import GridSpec, PlaneField
 from twoslit.scenario import _mixture, sweep_interslit
 
 
-def _profile(x: np.ndarray, values: np.ndarray) -> IntensityProfile:
+def _profile(x: np.ndarray, values: np.ndarray) -> PlaneField:
     """values on the uniform grid from x[0] to x[-1] with x.size points."""
-    return IntensityProfile(GridSpec(float(x[0]), float(x[-1]), x.size), values)
+    return PlaneField(GridSpec(float(x[0]), float(x[-1]), x.size), values)
 
 
 def _tone(cycles: float, n: int = 2048, offset: float = 1.0, amp: float = 1.0):
@@ -46,32 +46,32 @@ def test_profile_refuses_wrong_shape_and_non_finite_values():
     grid = GridSpec(-1.0, 1.0, 16)
     for values in (np.ones(15), np.ones((16, 1)), np.ones(17)):
         with pytest.raises(InvalidArgumentError, match="one value per grid point"):
-            IntensityProfile(grid, values)
+            PlaneField(grid, values)
     for bad in (math.nan, math.inf, -math.inf):
         values = np.ones(16)
         values[3] = bad
-        with pytest.raises(NumericalError, match="non-finite"):
-            IntensityProfile(grid, values)
+        with pytest.raises(NumericalError, match="finite"):
+            PlaneField(grid, values)
 
 
 def test_unit_area_scales_to_unit_area_and_refuses_zeros():
     grid = GridSpec(0.0, 3.0, 4)
-    prof = IntensityProfile.unit_area(grid, np.array([1.0, 2.0, 2.0, 1.0]))
+    prof = unit_area(grid, np.array([1.0, 2.0, 2.0, 1.0]))
     assert prof.grid is grid
     assert np.array_equal(prof.values, np.array([1.0, 2.0, 2.0, 1.0]) / 5.0)
     for zero in (np.zeros(4), np.array([1.0, -1.0, -1.0, 1.0])):
         with pytest.raises(InvalidArgumentError, match="zero-intensity"):
-            IntensityProfile.unit_area(grid, zero)
+            unit_area(grid, zero)
 
 
 def test_mixture_refuses_profiles_on_different_grids():
-    a = IntensityProfile(GridSpec(-1.0, 1.0, 16), np.ones(16))
-    shifted = IntensityProfile(GridSpec(-0.5, 1.5, 16), np.ones(16))
-    denser = IntensityProfile(GridSpec(-1.0, 1.0, 17), np.ones(17))
+    a = PlaneField(GridSpec(-1.0, 1.0, 16), np.ones(16))
+    shifted = PlaneField(GridSpec(-0.5, 1.5, 16), np.ones(16))
+    denser = PlaneField(GridSpec(-1.0, 1.0, 17), np.ones(17))
     for other in (shifted, denser):
         with pytest.raises(InvalidArgumentError, match="different grids"):
             _mixture(a, other, 0.5)
-    same = IntensityProfile(GridSpec(-1.0, 1.0, 16), np.full(16, 3.0))  # an equal grid, not the same object
+    same = PlaneField(GridSpec(-1.0, 1.0, 16), np.full(16, 3.0))  # an equal grid, not the same object
     assert np.array_equal(_mixture(a, same, 0.5).values, np.full(16, 2.0))
 
 
@@ -245,7 +245,7 @@ def test_onset_symmetric_is_center():
 
 def test_onset_grid_mismatch():
     x, flat, fringes = _onset_fixture()
-    shifted = IntensityProfile(GridSpec(-99.0, 101.0, x.size), flat)
+    shifted = PlaneField(GridSpec(-99.0, 101.0, x.size), flat)
     with pytest.raises(InvalidArgumentError, match="different grids"):
         onset_metrics(_profile(x, fringes), shifted, window_width=20.0)
 

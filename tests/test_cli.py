@@ -598,8 +598,9 @@ def test_uncertainty_stdout(capsys):
     assert payload["delta_t"] == 1e9
 
 
-def test_uncertainty_bad_input(capsys):
-    assert main(["uncertainty", "0.0", "1.0", "0.5"]) == 2
+@pytest.mark.parametrize("size", ["0.0", "nan", "inf", "1e-320"])
+def test_uncertainty_bad_input(capsys, size):
+    assert main(["uncertainty", size, "1.0", "0.5"]) == 2
     assert "confinement_size" in capsys.readouterr().err
 
 

@@ -23,7 +23,7 @@ from twoslit.propagator import (
     propagate,
     transmitted_power,
 )
-from twoslit.scenario import ChannelSet, barrier_field
+from twoslit.scenario import ChannelSet, barrier_field, disc_window
 
 REPO = Path(__file__).resolve().parents[1]
 DESK = REPO / "configs" / "desk.json"
@@ -387,3 +387,47 @@ def test_offset_source_falls_back_to_two_chirp_z_sums(kernel_calls):
     for slit, got in zip("AB", psi):
         want = _slit_oracle(cfg, app, slit, got.x)
         assert np.max(np.abs(got.values - want)) <= 1e-9 * np.max(np.abs(want)), slit
+
+
+def _slit_leg_reference(cfg, app, slit, L, x_out, nodes=32):
+    """Point source -> one slit -> a plane L downstream, as a direct sum
+    over the slit's Gauss-Legendre nodes instead of its midpoint grid."""
+    m, v = cfg.particle.mass, cfg.particle.velocity
+    lo, hi = app.slit_A_interval if slit == "A" else app.slit_B_interval
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    xs, ws = 0.5 * (hi - lo) * u + 0.5 * (lo + hi), 0.5 * (hi - lo) * w
+
+    def fan(x_to, x_from, length):
+        t = length / v
+        return cmath.sqrt(m / (2.0j * math.pi * t)) * np.exp(1j * (m / (2.0 * t)) * (x_to - x_from) ** 2)
+
+    return (fan(x_out[:, None], xs[None, :], L) * (ws * fan(xs, app.source_x, app.L1))).sum(axis=1)
+
+
+@pytest.mark.parametrize("path", [DESK, PAPER], ids=["desk", "paper"])
+def test_slit_legs_match_the_gauss_legendre_reference(path):
+    # psi_A and the stub leg (B over epsilon to the disc, then the disc
+    # window) sum the slit by the midpoint rule: within 1e-4 of the
+    # reference's peak at the shipped aperture_samples, and the error
+    # falls as 1/n^2 (>= 12x at 4x the points).
+    cfg = load_config(path)
+    det = cfg.detector
+    errors = {}
+    for n in (cfg.apparatus.aperture_samples, 4 * cfg.apparatus.aperture_samples):
+        app = dataclasses.replace(cfg.apparatus, aperture_samples=n)
+        geometry = Geometry(app, det, cfg.particle)
+        cs = ChannelSet(geometry)
+        disc = geometry.disc.x
+        legs = {
+            "psi_a": (cs.psi_a.values, _slit_leg_reference(cfg, app, "A", app.L2, geometry.screen.x)),
+            "stub": (
+                cs.stub.values,
+                _slit_leg_reference(cfg, app, "B", det.depth_epsilon, disc)
+                * disc_window((disc - app.slit_B_center) / det.radius_rho),
+            ),
+        }
+        for leg, (got, want) in legs.items():
+            errors.setdefault(leg, []).append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    for leg, (shipped, finer) in errors.items():
+        assert shipped <= 1e-4, (leg, shipped)
+        assert finer * 12.0 <= shipped, (leg, shipped, finer)

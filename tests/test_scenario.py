@@ -6,6 +6,7 @@ import pytest
 
 from twoslit.analysis import intensity, local_visibility_profile, visibility
 from twoslit.apparatus import Apparatus, DetectorConfig, Geometry, make_detector, make_particle
+from twoslit.config import AnalysisSettings
 from twoslit.errors import InvalidArgumentError, InvalidStateError
 from twoslit.propagator import GridSpec, point_source_field, propagate, propagate_pair, transmitted_power
 from twoslit.scenario import (
@@ -17,6 +18,7 @@ from twoslit.scenario import (
     disc_window,
     kick_visibility_factor,
     stub_source,
+    sweep_interslit,
 )
 
 
@@ -234,3 +236,27 @@ def test_kick_reference_intensity(desk_apparatus, desk_detector, desk_particle):
     off = make_detector(enabled=False, photon_wavelength=20.0)
     with pytest.raises(InvalidStateError):
         ChannelSet(Geometry(desk_apparatus, off, desk_particle)).kick_reference
+
+
+@pytest.mark.parametrize("edge", [1.2e5, 1.55e5, 1.8e5])
+def test_null_fringes_return_where_the_crossing_window_enters_the_analysis_window(
+    desk_apparatus, desk_detector, desk_particle, edge
+):
+    # The null channel's fringes lie in the crossing window, which starts
+    # at x_A + (d - rho) L2/eps with x_A = -d/2; they enter a central
+    # window ending at X once d < d* = (X + rho L2/eps) / (L2/eps - 1/2).
+    # Bisecting the visibility_null onset finds d* to within 0.02 bohr.
+    geometry = Geometry(desk_apparatus, desk_detector, desk_particle)
+    settings = AnalysisSettings((-edge, edge), 8.0e4)
+
+    def fringes(d):
+        return sweep_interslit(geometry, [d], settings)[0].visibility_null > 0.0
+
+    lo, hi = 20.0, 35.0
+    assert fringes(lo) and not fringes(hi)
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fringes(mid) else (lo, mid)
+    g = desk_apparatus.L2 / desk_detector.depth_epsilon
+    d_star = (edge + desk_detector.radius_rho * g) / (g - 0.5)
+    assert abs(0.5 * (lo + hi) - d_star) <= 0.02
