@@ -5,7 +5,8 @@ of the slit-separation sweep (scenario.sweep_interslit fills them).
 
 An intensity profile is a propagator.PlaneField with real values;
 profiles on equal GridSpecs share a grid.  unit_area(grid, values) is
-the one place an intensity is scaled to unit area.
+the one place an intensity is scaled to unit area, by the trapezoid
+rule on the grid's kept steps.
 
 Visibility here is an extremum-ensemble contrast,
 
@@ -21,7 +22,11 @@ has V = 0 by definition (a featureless profile has nothing to
 contrast).  local_visibility_profile deliberately skips both
 refinements: it is a threshold detector for "are there fringes here at
 all", and the raw alternation signal is what the onset statistics
-want.
+want.  Its window slides one sample at a time, but the extrema it holds
+change only where an edge passes one of the profile's few extrema: it
+evaluates the contrast once per run of samples whose windows hold the
+same extrema, with the same comparisons and arithmetic as one window at
+a time.
 """
 
 from __future__ import annotations
@@ -45,7 +50,8 @@ MIN_WINDOW_SAMPLES = 16
 
 def unit_area(grid: GridSpec, values: np.ndarray) -> PlaneField:
     """values on grid, scaled to unit trapezoid area."""
-    area = float(np.trapezoid(values, grid.x))
+    # np.trapezoid's own expression, on the grid's kept steps
+    area = float((grid.steps * (values[1:] + values[:-1]) / 2.0).sum())
     if not (area > 0.0):
         raise InvalidArgumentError("cannot normalize a zero-intensity profile")
     return PlaneField(grid, values / area)
@@ -180,37 +186,50 @@ def local_visibility_profile(profile: PlaneField, window_width: float) -> np.nda
     """Sliding-window visibility at every sample point.
 
     Raw strict extrema only (no refinement, no pruning); windows where
-    either extremum set is empty score 0.  Global extrema are indexed
-    once and each window reads its slice through prefix sums.
+    either extremum set is empty score 0.  A window [x - w/2, x + w/2]
+    changes the extrema it holds only where one of its edges passes an
+    extremum, so the samples split into runs of windows that hold the
+    same extrema.  Each extremum is searched once per window edge, and
+    the contrast is evaluated once per run, from prefix sums of the
+    extremum values, and repeated over the run's samples.
     """
     check_window_width(window_width, profile.dx)
     x, v = profile.x, profile.values
-    imax, imin = _strict_extrema(v)
     half = 0.5 * window_width
-    out = np.zeros(x.size, dtype=np.float64)
-
-    def window_mean(idx: np.ndarray, csum: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        # Positions of extrema, searched once per window edge.
-        pos = x[idx]
-        a = np.searchsorted(pos, lo, side="left")
-        b = np.searchsorted(pos, hi, side="right")
-        count = b - a
-        total = csum[b] - csum[a]
-        return count, total
-
-    cmax = np.concatenate([[0.0], np.cumsum(v[imax])])
-    cmin = np.concatenate([[0.0], np.cumsum(v[imin])])
+    # x is strictly increasing, so lo and hi are non-decreasing: an
+    # extremum at p lies left of the windows from ka = searchsorted(lo,
+    # p, "right") on, and not right of those from kb = searchsorted(hi,
+    # p, "left") on.  Window j holds it when kb <= j < ka, which are the
+    # comparisons lo[j] <= p <= hi[j] themselves.
     lo = x - half
     hi = x + half
-    n_up, s_up = window_mean(imax, cmax, lo, hi)
-    n_dn, s_dn = window_mean(imin, cmin, lo, hi)
+    edges = []
+    for idx in _strict_extrema(v):
+        pos = x[idx]
+        csum = np.concatenate([[0.0], np.cumsum(v[idx])])
+        edges.append((np.searchsorted(lo, pos, side="right"), np.searchsorted(hi, pos, side="left"), csum))
+    # Runs start at sample 0 and wherever an edge passes an extremum.
+    cuts = np.sort(np.concatenate([[0], *(k for ka, kb, _ in edges for k in (ka, kb))]))
+    first = cuts < x.size
+    first[1:] &= cuts[1:] != cuts[:-1]
+    starts = cuts[first]
+
+    def window_mean(ka: np.ndarray, kb: np.ndarray, csum: np.ndarray):
+        # Per run: the extrema left of its windows, and those not right of them.
+        a = np.searchsorted(ka, starts, side="right")
+        b = np.searchsorted(kb, starts, side="right")
+        return b - a, csum[b] - csum[a]
+
+    (n_up, s_up), (n_dn, s_dn) = (window_mean(*e) for e in edges)
     ok = (n_up > 0) & (n_dn > 0)
     mu_up = np.where(ok, s_up / np.maximum(n_up, 1), 0.0)
     mu_dn = np.where(ok, s_dn / np.maximum(n_dn, 1), 0.0)
     denom = mu_up + mu_dn
     ok &= denom > 0.0
+    out = np.zeros(starts.size, dtype=np.float64)
     out[ok] = (mu_up[ok] - mu_dn[ok]) / denom[ok]
-    return np.clip(out, 0.0, 1.0)
+    lengths = np.concatenate((starts[1:], [x.size])) - starts
+    return np.repeat(np.clip(out, 0.0, 1.0), lengths)
 
 
 def fringe_spacing(profile: PlaneField) -> float:

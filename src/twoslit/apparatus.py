@@ -15,7 +15,8 @@ epsilon), i.e. just behind slit B.  Time of flight between planes a
 distance L apart is T = L / v (paraxial reduction).
 
 A Geometry builds every grid a run samples, and the disc need that sizes
-the disc grid, once.  validate() returns the one it checked, and
+the disc grid, once; a geometry moved to another slit separation shares
+its screen grid.  validate() returns the one it checked, and
 everything that reads a run's setup takes it: the CLI,
 scenario.ChannelSet and its wrappers, scenario.crossing_window,
 analysis.fraunhofer_oracle and paths.experiment_paths.
@@ -168,8 +169,9 @@ class GridSpec:
     grids for apertures and the detection disc).  Points are built
     symmetrically about the interval midpoint so that a sign-symmetric
     interval yields an exactly sign-symmetric point set.  The spacing
-    dx, the read-only points x and the uniformity verdict step_error are
-    each computed once, on first use.
+    dx, the read-only points x, their read-only steps np.diff(x) (the
+    trapezoid weights of analysis.unit_area) and the uniformity verdict
+    step_error are each computed once, on first use.
     """
 
     lo: float
@@ -197,10 +199,16 @@ class GridSpec:
         return x
 
     @cached_property
+    def steps(self) -> np.ndarray:
+        steps = np.diff(self.x)
+        steps.setflags(write=False)
+        return steps
+
+    @cached_property
     def step_error(self) -> str | None:
         """Why the points are not uniform to _RTOL of dx (far off axis,
         rounding can space a narrow grid unevenly), or None."""
-        off = np.abs(np.diff(self.x) - self.dx)
+        off = np.abs(self.steps - self.dx)
         if np.all(off <= self._RTOL * abs(self.dx)):
             return None
         worst = float(np.max(off))
@@ -220,6 +228,15 @@ class Geometry:
     def screen(self) -> GridSpec:
         a = self.apparatus
         return GridSpec(a.screen_min, a.screen_max, a.screen_samples)
+
+    def with_slit_separation(self, d: float) -> "Geometry":
+        """This geometry with the slits moved to separation d about their
+        midpoint.  The screen does not depend on d, so the moved geometry
+        shares this one's screen GridSpec, with its points, steps and
+        uniformity verdict."""
+        moved = Geometry(self.apparatus.with_slit_separation(d), self.detector, self.particle)
+        moved.__dict__["screen"] = self.screen  # where cached_property keeps its value
+        return moved
 
     @cached_property
     def apertures(self) -> dict[str, GridSpec]:
@@ -294,7 +311,13 @@ def validate(apparatus: Apparatus, detector: DetectorConfig, particle: Particle)
     Errors mark configurations no downstream operation accepts; warnings
     flag regimes where results are numerically or physically suspect.
     """
-    geometry = Geometry(apparatus, detector, particle)
+    return validate_geometry(Geometry(apparatus, detector, particle))
+
+
+def validate_geometry(geometry: Geometry) -> ValidationReport:
+    """validate() on a Geometry that already exists, and may already
+    hold some of its grids (see Geometry.with_slit_separation)."""
+    apparatus, detector, particle = geometry.apparatus, geometry.detector, geometry.particle
     issues: list[Issue] = []
 
     def err(code: str, message: str) -> None:

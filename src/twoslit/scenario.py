@@ -38,7 +38,8 @@ is a PlaneField of real values on the screen grid, scaled by
 analysis.unit_area; it is built once and shared by the measurements and
 the mixture, and ChannelSet.combined is the only mixture.
 sweep_interslit measures one such set per validated slit separation of
-a run's Geometry, with the run's config.AnalysisSettings.
+a run's Geometry, with the run's config.AnalysisSettings; every
+separation reads the run's screen grid.
 
 The disc restriction multiplies by a flat-top window with C-infinity
 edges (support exactly [x_B - rho, x_B + rho]); a hard edge would add
@@ -61,7 +62,7 @@ from functools import cached_property
 import numpy as np
 
 from .analysis import SweepRow, intensity, measure_channels, unit_area
-from .apparatus import Geometry, validate
+from .apparatus import Geometry, validate_geometry
 from .config import AnalysisSettings
 from .errors import InvalidArgumentError, InvalidStateError
 from .propagator import (
@@ -314,10 +315,9 @@ def sweep_interslit(
     _require_detector(geometry)
     if len(d_values) == 0:
         raise InvalidArgumentError("sweep.d_values is empty")
-    detector, particle = geometry.detector, geometry.particle
     geometries = []
     for i, d in enumerate(d_values):
-        report = validate(geometry.apparatus.with_slit_separation(d), detector, particle)
+        report = validate_geometry(geometry.with_slit_separation(d))
         if not report.ok:
             issues = "; ".join(issue.message for issue in report.errors())
             raise InvalidArgumentError(f"sweep.d_values[{i}]={d} gives invalid geometry: {issues}")
@@ -328,7 +328,7 @@ def sweep_interslit(
         rows.append(
             SweepRow(
                 d=d,
-                d_over_lambda_ph=d / detector.photon_wavelength,
+                d_over_lambda_ph=d / geometry.detector.photon_wavelength,
                 visibility_null=m.visibility["null"],
                 visibility_det=m.visibility["detected"],
                 visibility_combined=m.visibility["combined"],

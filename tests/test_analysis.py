@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from twoslit.analysis import (
     unit_area,
     visibility,
 )
-from twoslit.errors import InvalidArgumentError, NoFringesError, NumericalError
+from twoslit.errors import InvalidArgumentError, NoFringesError
 from twoslit.apparatus import Geometry
-from twoslit.config import AnalysisSettings
+from twoslit.config import AnalysisSettings, load_config
 from twoslit.propagator import GridSpec, PlaneField
-from twoslit.scenario import _mixture, sweep_interslit
+from twoslit.scenario import ChannelSet, _mixture, sweep_interslit
+
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 
 
 def _profile(x: np.ndarray, values: np.ndarray) -> PlaneField:
@@ -40,18 +43,6 @@ def test_intensity_normalizes(desk_particle):
     prof = intensity(f)
     assert float(np.trapezoid(prof.values, x)) == pytest.approx(1.0, rel=1e-12)
     assert prof.grid is grid and prof.x is x and prof.dx == grid.dx
-
-
-def test_profile_refuses_wrong_shape_and_non_finite_values():
-    grid = GridSpec(-1.0, 1.0, 16)
-    for values in (np.ones(15), np.ones((16, 1)), np.ones(17)):
-        with pytest.raises(InvalidArgumentError, match="one value per grid point"):
-            PlaneField(grid, values)
-    for bad in (math.nan, math.inf, -math.inf):
-        values = np.ones(16)
-        values[3] = bad
-        with pytest.raises(NumericalError, match="finite"):
-            PlaneField(grid, values)
 
 
 def test_unit_area_scales_to_unit_area_and_refuses_zeros():
@@ -132,6 +123,101 @@ def test_local_visibility_flat():
     prof = _profile(x, np.ones(512))
     lv = local_visibility_profile(prof, window_width=10.0)
     assert np.all(lv == 0.0)
+
+
+def _local_visibility_oracle(profile: PlaneField, window_width: float) -> np.ndarray:
+    """local_visibility_profile one sample at a time: each window's
+    extrema found by searching the extremum positions for its edges."""
+    x, v = profile.x, profile.values
+    mid = v[1:-1]
+    imax = np.nonzero((mid > v[:-2]) & (mid > v[2:]))[0] + 1
+    imin = np.nonzero((mid < v[:-2]) & (mid < v[2:]))[0] + 1
+    half = 0.5 * window_width
+    out = np.zeros(x.size, dtype=np.float64)
+
+    def window_mean(idx: np.ndarray, csum: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        pos = x[idx]
+        a = np.searchsorted(pos, lo, side="left")
+        b = np.searchsorted(pos, hi, side="right")
+        return b - a, csum[b] - csum[a]
+
+    cmax = np.concatenate([[0.0], np.cumsum(v[imax])])
+    cmin = np.concatenate([[0.0], np.cumsum(v[imin])])
+    lo = x - half
+    hi = x + half
+    n_up, s_up = window_mean(imax, cmax, lo, hi)
+    n_dn, s_dn = window_mean(imin, cmin, lo, hi)
+    ok = (n_up > 0) & (n_dn > 0)
+    mu_up = np.where(ok, s_up / np.maximum(n_up, 1), 0.0)
+    mu_dn = np.where(ok, s_dn / np.maximum(n_dn, 1), 0.0)
+    denom = mu_up + mu_dn
+    ok &= denom > 0.0
+    out[ok] = (mu_up[ok] - mu_dn[ok]) / denom[ok]
+    return np.clip(out, 0.0, 1.0)
+
+
+def _assert_matches_oracle(profile: PlaneField, window_width: float) -> None:
+    got = local_visibility_profile(profile, window_width)
+    want = _local_visibility_oracle(profile, window_width)
+    assert got.dtype == np.float64 and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_local_visibility_matches_oracle_on_desk_channels():
+    run = load_config(str(DESK))
+    geometry = Geometry(run.apparatus, run.detector, run.particle)
+    width = run.analysis.local_window_width
+    for d in run.sweep_d_values:
+        channels = ChannelSet(geometry.with_slit_separation(d))
+        for name in ("null", "detected", "psi_a", "stub_image"):
+            for w in (width, width / 8.0, 5.0 * width):
+                _assert_matches_oracle(channels.unit_intensity(name), w)
+
+
+def test_local_visibility_matches_oracle_where_window_edges_hit_samples():
+    # On an integer grid, x +- w/2 lands exactly on samples, extrema
+    # included, for every even w: an edge on an extremum holds it.
+    rng = np.random.default_rng(20240811)
+    for n in (16, 17, 40, 257):
+        grid = GridSpec(0.0, float(n - 1), n)
+        assert np.array_equal(grid.x, np.arange(n, dtype=np.float64))
+        profiles = [
+            1.0 + np.cos(np.arange(n) * (2.0 * math.pi / 6.0)),
+            rng.random(n),
+            np.round(rng.random(n) * 3.0),  # plateaus: runs of equal samples
+            np.round(rng.random(n) * 2.0) + 1.0,
+        ]
+        for values in profiles:
+            for w in (15.0, 16.0, 17.0, 15.5, float(n), 2.0 * n):
+                _assert_matches_oracle(PlaneField(grid, values), w)
+
+
+def test_local_visibility_matches_oracle_on_plateau_profiles():
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        n = int(rng.integers(16, 300))
+        grid = GridSpec(float(rng.normal()), float(rng.normal()) + n * 0.37, n)
+        values = np.round(rng.random(n) * rng.integers(1, 6)) * rng.random() + rng.integers(0, 3)
+        for w in (15.0 * grid.dx, float(rng.uniform(15.0, 3.0 * n)) * grid.dx):
+            _assert_matches_oracle(PlaneField(grid, values), w)
+
+
+def test_local_visibility_with_fewer_than_two_extrema_is_zero():
+    grid = GridSpec(-1.0, 1.0, 65)  # x = 0 is a sample: one strict extremum there
+    x = grid.x
+    for values in (np.ones(65), x + 2.0, 2.0 - x, 1.0 - x * x, 1.0 + x * x, np.abs(x)):
+        prof = PlaneField(grid, values)
+        lv = local_visibility_profile(prof, 0.5)
+        assert np.array_equal(lv, np.zeros(65))
+        _assert_matches_oracle(prof, 0.5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4096])
+@pytest.mark.parametrize("kind", ["screen", "cell_centered"])
+def test_unit_area_matches_trapezoid_bit_for_bit(n, kind):
+    grid = GridSpec(-2e5, 2e5, n) if kind == "screen" else GridSpec(-0.5, 0.5, n, cell_centered=True)
+    values = np.random.default_rng(n).random(n) + 0.1
+    want = values / float(np.trapezoid(values, grid.x))
+    assert np.array_equal(unit_area(grid, values).values.view(np.uint64), want.view(np.uint64))
 
 
 def test_local_visibility_fringes():

@@ -114,13 +114,18 @@ def test_simulate_builds_each_grid_and_barrier_field_once(tmp_path, grid_builds)
 
 def test_sweep_builds_each_grid_once_per_geometry(tmp_path, grid_builds):
     # A desk sweep validates the config and each of its 10 separations:
-    # 11 geometries, each computing its 4 grids' points and its disc need
-    # once.  Each separation's ChannelSet is built on the geometry its
-    # validation checked and makes that separation's 2 barrier fields.
+    # 11 geometries, each computing its disc need and the points of its
+    # 2 aperture grids and its disc grid once.  The screen does not
+    # depend on d: every separation reads the config geometry's screen,
+    # whose points and uniformity verdict are computed once.  Each
+    # separation's ChannelSet is built on the geometry its validation
+    # checked and makes that separation's 2 barrier fields.
     n = len(json.loads(DESK.read_text())["sweep"]["d_values"])
     assert main(["sweep", "--config", str(DESK), "--out", str(tmp_path / "run")]) == 0
     points = grid_builds["points"]
-    assert n == 10 and len(points) == 4 * (n + 1) == 44 and len({id(grid) for grid in points}) == 44
+    assert n == 10 and len(points) == 3 * (n + 1) + 1 == 34 and len({id(grid) for grid in points}) == 34
+    screens = [grid for grid in points if not grid.cell_centered]
+    assert len(screens) == 1 and [grid for grid in grid_builds["verdicts"] if grid is screens[0]] == screens
     assert len(grid_builds["disc_need"]) == n + 1
     assert [slit for *_, slit in grid_builds["barrier"]] == ["A", "B"] * n
 

@@ -460,8 +460,8 @@ def test_sweep_with_detector_off_exits_3_naming_the_key(tmp_path: Path, capsys, 
     # The sweep measures only the detector channels: with the detector
     # off it is refused before any entry is validated or propagated.
     entries = []
-    real = scenario.validate
-    monkeypatch.setattr(scenario, "validate", lambda *args: entries.append(args) or real(*args))
+    real = scenario.validate_geometry
+    monkeypatch.setattr(scenario, "validate_geometry", lambda *args: entries.append(args) or real(*args))
     cfg = _desk_variant(tmp_path, "detector", enabled=False)
     out = tmp_path / "never"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3

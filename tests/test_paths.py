@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twoslit import kernels
-from twoslit.apparatus import make_particle
+from twoslit.apparatus import Geometry, make_particle
+from twoslit.config import load_config
 from twoslit.errors import InvalidArgumentError
 from twoslit.paths import (
     PathBundle,
     SpacetimeEvent,
     crossing_count,
+    experiment_paths,
     mc_kernel_estimate,
     path_action,
     sample_bundle,
@@ -21,6 +24,7 @@ from twoslit.paths import (
 )
 from twoslit.propagator import free_kernel
 
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 START = SpacetimeEvent(x=0.0, z=0.0, t=0.0)
 END = SpacetimeEvent(x=3.0, z=100.0, t=100.0)
 
@@ -458,3 +462,31 @@ def test_spread_over_disc_matches_per_event_loop(particle, n_paths, n_slices, se
     bundle = sample_bundle(START, end, n_paths, n_slices, particle, seed)
     want = _spread_oracle(_event_lists(bundle), START.t, end.t, radius)
     _assert_paths_match(spread_over_disc(bundle, radius), [(events, False) for events in want])
+
+
+@pytest.mark.parametrize("seed", [20240811, 1, 2])
+def test_crossings_stop_where_no_a_path_to_the_screen_edge_reaches_the_disc(seed):
+    # The onset law's paths half.  A straight A path from slit A to the
+    # screen point X passes within rho of the disc centre, at depth eps
+    # behind slit B, while d <= d* = (rho + eps*X/L2) / (1 - eps/(2*L2)):
+    # 30.0008 on desk with X = screen_max.  The desk crossing total of
+    # S_to_B with the A_to_screen bundles, bisected in d, drops to zero
+    # within 1% of d*.
+    run = load_config(str(DESK))
+    geometry = Geometry(run.apparatus, run.detector, run.particle)
+    a, det = run.apparatus, run.detector
+    rho, eps, L2 = det.radius_rho, det.depth_epsilon, a.L2
+    d_star = (rho + eps * a.screen_max / L2) / (1.0 - eps / (2.0 * L2))
+    assert d_star == pytest.approx(30.0008, abs=1e-4)
+    paths = run.paths
+
+    def crossings(d: float) -> int:
+        _, pairs = experiment_paths(geometry.with_slit_separation(d), paths.n_paths, paths.n_slices, seed)
+        return sum(pairs.values())
+
+    lo, hi = 25.0, 35.0
+    assert crossings(lo) > 0 and crossings(hi) == 0
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if crossings(mid) > 0 else (lo, mid)
+    assert abs(hi - d_star) < 0.01 * d_star

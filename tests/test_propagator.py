@@ -132,15 +132,24 @@ def test_transmitted_power():
 
 
 def test_plane_field_validation():
-    grid = GridSpec(0.0, 1.0, 4, cell_centered=True)
-    with pytest.raises(InvalidArgumentError):
-        PlaneField(grid, np.ones(3, dtype=complex))
-    bad = np.ones(4, dtype=complex)
-    bad[2] = np.nan
-    with pytest.raises(NumericalError, match="finite"):
-        PlaneField(grid, bad)
-    f = PlaneField(grid, np.ones(4, dtype=complex))
-    assert f.x is grid.x and f.dx == grid.dx
+    # An amplitude (complex) and an intensity (real) need one finite
+    # value per grid point, on screen-type and cell-centred grids.
+    for grid in (GridSpec(-1.0, 1.0, 16), GridSpec(0.0, 1.0, 4, cell_centered=True)):
+        n = grid.n
+        for dtype in (float, complex):
+            for values in (np.ones(n - 1, dtype), np.ones((n, 1), dtype), np.ones(n + 1, dtype)):
+                with pytest.raises(InvalidArgumentError, match="one value per grid point"):
+                    PlaneField(grid, values)
+            bads = (math.nan, math.inf, -math.inf)
+            if dtype is complex:
+                bads += tuple(complex(1.0, bad) for bad in bads)
+            for bad in bads:
+                values = np.ones(n, dtype)
+                values[2] = bad
+                with pytest.raises(NumericalError, match="finite"):
+                    PlaneField(grid, values)
+            f = PlaneField(grid, np.ones(n, dtype))
+            assert f.x is grid.x and f.dx == grid.dx
 
 
 def test_grid_refuses_narrow_grid_far_off_axis():
