@@ -16,7 +16,7 @@ from twoslit.analysis import (
     unit_area,
     visibility,
 )
-from twoslit.errors import InvalidArgumentError, NoFringesError
+from twoslit.errors import InvalidArgumentError, NoFringesError, NumericalError
 from twoslit.apparatus import Geometry
 from twoslit.config import AnalysisSettings, load_config
 from twoslit.propagator import GridSpec, PlaneField
@@ -43,6 +43,18 @@ def test_intensity_normalizes(desk_particle):
     prof = intensity(f)
     assert float(np.trapezoid(prof.values, x)) == pytest.approx(1.0, rel=1e-12)
     assert prof.grid is grid and prof.x is x and prof.dx == grid.dx
+
+
+def test_profile_refuses_wrong_shape_and_non_finite_values():
+    grid = GridSpec(-1.0, 1.0, 16)
+    for values in (np.ones(15), np.ones((16, 1)), np.ones(17)):
+        with pytest.raises(InvalidArgumentError, match="one value per grid point"):
+            PlaneField(grid, values)
+    for bad in (math.nan, math.inf, -math.inf):
+        values = np.ones(16)
+        values[3] = bad
+        with pytest.raises(NumericalError, match="finite"):
+            PlaneField(grid, values)
 
 
 def test_unit_area_scales_to_unit_area_and_refuses_zeros():
