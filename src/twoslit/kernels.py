@@ -25,19 +25,30 @@ maximum, and at desk d = rho/2 the kick-reference verdict hangs on
 their last-ulp rounding, which the direct sum reproduces.  Those sums
 go once that search is plateau-aware.
 
-The Monte Carlo phase sum works in blocks of paths of at most 2^15
-elements.  A block holds three block-sized buffers (the two counter
-streams and one uniform stream; the other uniform stream reuses spent
-counters) and does its arithmetic in place, so a worker holds 768 KiB
-whatever the number of paths.  Each output element is a reduction over
-one row, of fixed length and order, whatever block holds the row, so
-the bytes depend on neither the worker count nor the scheduling.
-Blocks write disjoint slices of the output and numpy releases the GIL
-in their loops, so they run on one thread pool sized from the CPU
-affinity of the process (``os.sched_getaffinity``, else
-``os.cpu_count()``), created on the first call with several blocks;
-with one CPU or one block they run inline.  On 2 CPUs the pool runs
-the 1e5 x 32 phase array 1.4-1.7x faster than inline.  Module-level
+The Monte Carlo phase sum draws its normals in Box-Muller pairs (Box &
+Muller 1958): draw j of a path gives slices 2j and 2j+1 as r cos(theta)
+and r sin(theta) (an odd last slice takes only r cos(theta)).  A path's
+fluctuation phase (lam/2) * sum_k (z_k - zbar)^2 is evaluated as
+(lam/2) * (sum z^2 - (sum z)^2 / n), where a full pair adds exactly
+r^2 = -2 ln u1 to the first sum and sqrt(2) r sin(theta + pi/4) to the
+second: per path, half the hashes, logs and square roots of one normal
+per slice, and one trig call per two slices.  bridge_offsets keeps one
+normal per draw, r cos(theta), so sampled bundles keep their stream;
+both read the same hashed draws (_draws).  The phase sum works in
+blocks of paths of at most 2^15 draws.  A block holds three block-sized
+buffers (the two counter streams and one uniform stream; the spent
+counters take the other uniforms and the radii) and does its arithmetic
+in place, so a worker holds 768 KiB whatever the number of paths.  Each
+output element is a reduction over one row, of fixed length and order,
+whatever block holds the row, so the bytes depend on neither the worker
+count nor the scheduling.  Blocks write disjoint slices of the output
+and numpy releases the GIL in their loops, so they run on one thread
+pool sized from the CPU affinity of the process
+(``os.sched_getaffinity``, else ``os.cpu_count()``), created on the
+first call with several blocks; with one CPU or one block they run
+inline.  On a 2-CPU host the pool ran the 1e5 x 32 phase array in
+~38 ms against ~57 ms inline (medians of 11 interleaved calls); when
+other processes load the host the gain shrinks to nothing.  Module-level
 functions here may be wrapped by the single-threaded tracer in
 ``perfbench/tracing.py``, so worker threads run only nested closures
 and numpy.  ``numpy.fft`` is reached as ``np.fft`` at call time:
@@ -75,7 +86,7 @@ _MASK = (1 << 64) - 1
 
 # ---------------------------------------------------------------------------
 # Counter-based random stream (splitmix64 finalizer).
-# u64(key, i) depends only on (key, i); normals consume two u64 per draw.
+# u64(key, i) depends only on (key, i); a Box-Muller draw consumes two.
 # ---------------------------------------------------------------------------
 
 
@@ -95,11 +106,14 @@ def stream_key(seed: int, stream: int) -> int:
     return mix64((mix64(seed & _MASK) + (stream & _MASK) * _GOLDEN) & _MASK)
 
 
-def _normal_rows(key: int, n_cols: int):
-    """Closure (s, e) -> the (e-s, n_cols) standard normals of rows s..e-1,
-    entry (p, k) being draw index p*n_cols + k under key.  Hash steps run
-    in place; the 53-bit values convert through an int64 view, exact
-    below 2^53 and faster than the unsigned cast."""
+def _draws(key: int):
+    """Closure (i, j) -> (r2, theta, spare) of Box-Muller draws i..j-1
+    under key: draw d hashes counters 2d+1 and 2d+2 into uniforms u1 in
+    (0,1] and u2 in [0,1) from their top 53 bits, r2 = -2 ln u1 and
+    theta = 2 pi u2; spare is a spent buffer of the same size, free for
+    the caller.  Hash steps run in place; the 53-bit values convert
+    through an int64 view, exact below 2^53 and faster than the unsigned
+    cast."""
     k, golden = np.uint64(key), np.uint64(_GOLDEN)
     steps = [(np.uint64(s), np.uint64(m)) for s, m in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))]
 
@@ -114,26 +128,23 @@ def _normal_rows(key: int, n_cols: int):
         np.copyto(out, z.view(np.int64))
         return out
 
-    def rows(s: int, e: int) -> np.ndarray:
-        # draw i hashes counters 2i+1 and 2i+2; three row-sized buffers:
-        # u1 is a's shift scratch until it takes a's floats, then a is b's
-        # scratch and takes b's floats
-        a = np.arange(2 * s * n_cols + 1, 2 * e * n_cols, 2, dtype=np.uint64)
+    def draws(i: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # three buffers: u1 is a's shift scratch until it takes a's
+        # floats, then a is b's scratch and takes b's floats
+        a = np.arange(2 * i + 1, 2 * j, 2, dtype=np.uint64)
         b = a + np.uint64(1)
         u1 = np.empty(a.size, np.float64)
         bits53(a, u1.view(np.uint64), u1)
         u2 = bits53(b, a, a.view(np.float64))
-        u1 += 1.0  # (0,1] uniforms from the top 53 bits
+        u1 += 1.0
         u1 *= 2.0**-53
         u2 *= 2.0**-53
         np.log(u1, out=u1)
         u1 *= -2.0
-        np.sqrt(u1, out=u1)
         u2 *= 2.0 * np.pi
-        u1 *= np.cos(u2, out=u2)
-        return u1.reshape(e - s, n_cols)
+        return u1, u2, b.view(np.float64)
 
-    return rows
+    return draws
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +261,19 @@ def direct_sum(x_out, x_in, values, dx, pref, coef):
 
 # ---------------------------------------------------------------------------
 # Bridge sampling for the Monte Carlo kernel estimate.
-# Per path p, slice k: normal draw index p*n_slices + k under one stream key.
+# bridge_offsets: path p, slice k is draw p*n_slices + k, z = r cos(theta).
 # Path positions: straight line plus sigma * (cumsum(z) - (j/n)*sum(z)).
+# mc_phase_array: path p, slices 2j and 2j+1 are r cos(theta) and
+# r sin(theta) of draw p*ceil(n/2) + j.
 # ---------------------------------------------------------------------------
 
 
 def bridge_offsets(key: int, n_paths: int, n_slices: int, sigma: float) -> np.ndarray:
     """(n_paths, n_slices+1) bridge offsets, zero at both endpoints."""
-    z = _normal_rows(key, n_slices)(0, n_paths)
-    c = np.cumsum(z, axis=1)
+    z, theta, _ = _draws(key)(0, n_paths * n_slices)
+    np.sqrt(z, out=z)
+    z *= np.cos(theta, out=theta)
+    c = np.cumsum(z.reshape(n_paths, n_slices), axis=1)
     total = c[:, -1:]
     frac = np.arange(1, n_slices + 1, dtype=np.float64) / n_slices
     b = np.zeros((n_paths, n_slices + 1), np.float64)
@@ -267,27 +282,38 @@ def bridge_offsets(key: int, n_paths: int, n_slices: int, sigma: float) -> np.nd
     return b
 
 
-def mc_phase_array(key, n_paths, n_slices, dx_total, t_total, mass, sigma):
-    """Per-path fluctuation phases exp(i*(S_p - S_cl)); summed by the caller."""
-    dx_total, t_total, mass, sigma = float(dx_total), float(t_total), float(mass), float(sigma)
-    dt = t_total / n_slices
-    dstraight = dx_total / n_slices
-    half_m_over_dt = 0.5 * mass / dt
-    s_cl = 0.5 * mass * dx_total * dx_total / t_total
-    rows = _normal_rows(key, n_slices)
+def mc_phase_array(key, n_paths, n_slices, lam):
+    """Per-path fluctuation phases exp(i*(lam/2)*sum_k (z_k - zbar)^2) of
+    bridges with standard normal increments z; summed by the caller.
+
+    sum_k (z_k - zbar)^2 = sum z^2 - (sum z)^2 / n, and a draw's pair of
+    slices gives z_a^2 + z_b^2 = r^2 and z_a + z_b = sqrt(2) r sin(theta + pi/4)."""
+    half_lam = 0.5 * float(lam)
+    pairs, odd = divmod(n_slices, 2)
+    per_path = pairs + odd
+    draws = _draws(key)
     out = np.empty(n_paths, np.complex128)
 
     def block(s, e):
-        # dxk = dstraight + sigma*(z - zbar), squared, in z's own buffer
-        z = rows(s, e)
-        z -= z.mean(axis=1, keepdims=True)
-        z *= sigma
-        z += dstraight
-        z *= z
-        sp = half_m_over_dt * np.sum(z, axis=1)
-        out[s:e] = np.exp(1j * (sp - s_cl))
+        r2, theta, r = (v.reshape(e - s, per_path) for v in draws(s * per_path, e * per_path))
+        np.sqrt(r2, out=r)
+        if odd:  # the last draw gives one slice, r cos(theta)
+            z = r[:, -1] * np.cos(theta[:, -1])
+        theta += 0.25 * np.pi
+        r *= np.sin(theta, out=theta)
+        total = r[:, :pairs].sum(axis=1)
+        total *= np.sqrt(2.0)
+        phase = r2[:, :pairs].sum(axis=1)
+        if odd:
+            total += z
+            phase += z * z
+        total *= total
+        total /= n_slices
+        phase -= total
+        phase *= half_lam
+        out[s:e] = np.exp(1j * phase)
 
-    _blocks(block, n_paths, n_slices)
+    _blocks(block, n_paths, per_path)
     return out
 
 

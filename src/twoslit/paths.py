@@ -146,11 +146,15 @@ def mc_kernel_estimate(
 ) -> complex:
     """Monte Carlo path-sum estimate of free_kernel(end.x, start.x; T).
 
-    With bridge increments sigma*(z_k - zbar) the fluctuation phase is
-    S_path - S_cl = (m/(2 dt)) * sum_k (sigma*(z_k - zbar) + D/n)^2 - S_cl,
-    whose ensemble mean is (1 - i*lam)^(-(n-1)/2), lam = m*sigma^2/dt.
-    Multiplying the sample mean by the reciprocal factor makes the
-    estimator exactly unbiased; n_slices = 1 returns the kernel itself.
+    A path's increments are D/n + sigma*(z_k - zbar), z_k standard
+    normals, so S_path = (m/(2 dt)) * sum_k (D/n + sigma*(z_k - zbar))^2.
+    The cross term vanishes (sum_k (z_k - zbar) = 0) and the straight
+    line's term is S_cl, so the fluctuation phase is exactly
+    S_path - S_cl = (lam/2) * sum_k (z_k - zbar)^2, lam = m*sigma^2/dt,
+    whatever D; kernels.mc_phase_array evaluates it from Box-Muller pairs
+    of slices.  Its ensemble mean is (1 - i*lam)^(-(n-1)/2); multiplying
+    the sample mean by the reciprocal factor makes the estimator exactly
+    unbiased, and n_slices = 1 returns the kernel itself.
     """
     if n_paths < 1 or n_slices < 1:
         raise InvalidArgumentError("n_paths and n_slices must be >= 1")
@@ -161,9 +165,7 @@ def mc_kernel_estimate(
     sigma = MC_BRIDGE_SCALE * math.sqrt(dt / particle.mass)
     lam = particle.mass * sigma * sigma / dt
     key = kernels.stream_key(seed, 0)
-    phases = kernels.mc_phase_array(
-        key, n_paths, n_slices, end.x - start.x, t_total, particle.mass, sigma
-    )
+    phases = kernels.mc_phase_array(key, n_paths, n_slices, lam)
     mean_phase = complex(np.sum(phases)) / n_paths
     k_cl = free_kernel(end.x, start.x, particle.mass, t_total)
     correction = (1.0 - 1j * lam) ** (0.5 * (n_slices - 1))

@@ -185,10 +185,11 @@ def test_spread_over_disc(particle):
         assert [e.z for e in q.events] == [e.z for e in p.events]
 
 
-def _old_normals(key, start, count):
-    """Reference normal draws start..start+count-1 of the counter-based
-    stream, one plain temporary per step; kernels._normal_rows, which
-    works in place, must match it bit for bit."""
+def _old_polar(key, start, count):
+    """Reference Box-Muller radii and angles of draws start..start+count-1
+    of the counter-based stream, one plain temporary per step; the
+    in-place draws of kernels.bridge_offsets and kernels.mc_phase_array
+    must match it."""
     idx = np.arange(start, start + count, dtype=np.uint64)
     k = np.uint64(key)
 
@@ -204,44 +205,70 @@ def _old_normals(key, start, count):
     b = finalize(k + (np.uint64(2) * idx + np.uint64(2)) * golden)
     u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0**-53)
     u2 = (b >> np.uint64(11)).astype(np.float64) * (2.0**-53)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return np.sqrt(-2.0 * np.log(u1)), 2.0 * np.pi * u2
 
 
-def _mc_phase_oracle(key, n_paths, n_slices, dx_total, t_total, mass, sigma):
-    """The Monte Carlo phase loop in 2M-element chunks, on the stream as
-    written in _old_normals, as it was before row blocking."""
-
-    dt = t_total / n_slices
-    dstraight = dx_total / n_slices
-    half_m_over_dt = 0.5 * mass / dt
-    s_cl = 0.5 * mass * dx_total * dx_total / t_total
-    out = np.empty(n_paths, np.complex128)
-    chunk = max(1, int(2_000_000 // max(n_slices, 1)))
-    for s in range(0, n_paths, chunk):
-        n = min(chunk, n_paths - s)
-        z = _old_normals(key, s * n_slices, n * n_slices).reshape(n, n_slices)
-        zbar = z.mean(axis=1, keepdims=True)
-        dxk = dstraight + sigma * (z - zbar)
-        sp = half_m_over_dt * np.sum(dxk * dxk, axis=1)
-        out[s : s + n] = np.exp(1j * (sp - s_cl))
-    return out
+def _old_normals(key, start, count):
+    """Reference normal draws start..start+count-1, r cos(theta) of each."""
+    r, theta = _old_polar(key, start, count)
+    return r * np.cos(theta)
 
 
-@pytest.mark.parametrize(
-    "n_paths, n_slices",
-    [
-        (6149, 32),  # six full blocks and a ragged tail
-        (70_001, 1),
-        (2, 65539),  # rows longer than a block: one path per block
-        (1001, 32),  # fewer paths than one block holds: one block, run inline
-    ],
-)
-def test_mc_phase_array_matches_chunked_loop_bit_for_bit(kernel_workers, n_paths, n_slices):
+def _mc_phase_oracle(key, n_paths, n_slices, lam):
+    """Phases (lam/2) * sum_k (z_k - zbar)^2 of each path's explicit
+    increments: slices 2j and 2j+1 of path p are r cos(theta) and
+    r sin(theta) of draw p*ceil(n/2) + j, the last sin dropped for odd n."""
+    per_path = (n_slices + 1) // 2
+    r, theta = _old_polar(key, 0, n_paths * per_path)
+    z = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1).reshape(n_paths, 2 * per_path)
+    z = z[:, :n_slices]
+    d = z - z.mean(axis=1, keepdims=True)
+    return 0.5 * lam * np.sum(d * d, axis=1)
+
+
+# With blocks of 64 draws every shape has a ragged last block.
+MC_SHAPES = [
+    (6149, 32),
+    (70_001, 1),
+    (2, 65539),  # rows longer than a block: one path per block
+    (1001, 32),
+    (1001, 2),
+    (1001, 31),
+]
+
+
+@pytest.mark.parametrize("n_paths, n_slices", MC_SHAPES)
+def test_mc_phase_array_bits_do_not_depend_on_blocks(
+    kernel_workers, monkeypatch, n_paths, n_slices
+):
     key = kernels.stream_key(20240811, 5)
-    args = (key, n_paths, n_slices, 3.0, 100.0, 1.3, 0.7)
-    got = kernels.mc_phase_array(*args)
-    want = _mc_phase_oracle(*args)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    whole = kernels.mc_phase_array(key, n_paths, n_slices, 0.25)
+    monkeypatch.setattr(kernels, "_BLOCK", 64)
+    blocked = kernels.mc_phase_array(key, n_paths, n_slices, 0.25)
+    assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_paths, n_slices", MC_SHAPES)
+def test_mc_phase_array_matches_explicit_increments(n_paths, n_slices):
+    key = kernels.stream_key(20240811, 5)
+    got = kernels.mc_phase_array(key, n_paths, n_slices, 0.25)
+    want = _mc_phase_oracle(key, n_paths, n_slices, 0.25)
+    err = np.abs(np.angle(got * np.exp(-1j * want)))
+    # 1e-12 rad, relative once the phase passes 1 rad: at 65539 slices
+    # it is ~8e3 rad, whose float64 spacing is 1.8e-12
+    assert np.all(err <= 1e-12 * np.maximum(1.0, want)), err.max()
+
+
+@pytest.mark.parametrize("n_slices", [2, 31, 32])
+def test_mc_phase_array_mean_is_the_gaussian_integral(n_slices):
+    # E exp(i (lam/2) chi^2_{n-1}) = (1 - i lam)^(-(n-1)/2), the factor
+    # mc_kernel_estimate divides out
+    lam, n_paths = 0.25, 100_000
+    phases = kernels.mc_phase_array(kernels.stream_key(20240811, 0), n_paths, n_slices, lam)
+    mean = phases.mean()
+    stderr = math.sqrt(np.mean(np.abs(phases - mean) ** 2) / n_paths)
+    want = (1.0 - 1j * lam) ** (-0.5 * (n_slices - 1))
+    assert abs(mean - want) <= 5.0 * stderr
 
 
 def test_mc_phase_array_peak_memory_is_a_few_blocks_per_worker(kernel_workers):
@@ -250,7 +277,7 @@ def test_mc_phase_array_peak_memory_is_a_few_blocks_per_worker(kernel_workers):
     key = kernels.stream_key(20240811, 5)
     tracemalloc.start()
     try:
-        got = kernels.mc_phase_array(key, 100_000, 32, 3.0, 100.0, 1.3, 0.7)
+        got = kernels.mc_phase_array(key, 100_000, 32, 0.25)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
