@@ -185,11 +185,11 @@ def test_spread_over_disc(particle):
         assert [e.z for e in q.events] == [e.z for e in p.events]
 
 
-def _old_polar(key, start, count):
-    """Reference Box-Muller radii and angles of draws start..start+count-1
-    of the counter-based stream, one plain temporary per step; the
-    in-place draws of kernels.bridge_offsets and kernels.mc_phase_array
-    must match it."""
+def _old_uniforms(key, start, count):
+    """Reference uniforms u1 in (0,1] and u2 in [0,1) of draws
+    start..start+count-1 of the counter-based stream, one plain temporary
+    per step; the in-place draws of kernels.bridge_offsets and
+    kernels.mc_phase_array must match them."""
     idx = np.arange(start, start + count, dtype=np.uint64)
     k = np.uint64(key)
 
@@ -205,6 +205,12 @@ def _old_polar(key, start, count):
     b = finalize(k + (np.uint64(2) * idx + np.uint64(2)) * golden)
     u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0**-53)
     u2 = (b >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    return u1, u2
+
+
+def _old_polar(key, start, count):
+    """Reference Box-Muller radii and angles of draws start..start+count-1."""
+    u1, u2 = _old_uniforms(key, start, count)
     return np.sqrt(-2.0 * np.log(u1)), 2.0 * np.pi * u2
 
 
@@ -224,6 +230,47 @@ def _mc_phase_oracle(key, n_paths, n_slices, lam):
     z = z[:, :n_slices]
     d = z - z.mean(axis=1, keepdims=True)
     return 0.5 * lam * np.sum(d * d, axis=1)
+
+
+def _mc_phase_chunked(key, n_paths, n_slices, lam):
+    """mc_phase_array's arithmetic in 2M-draw chunks of plain temporaries,
+    on the stream as written in _old_uniforms, without row blocks or the
+    pool."""
+    pairs, odd = divmod(n_slices, 2)
+    per_path = pairs + odd
+    out = np.empty(n_paths, np.complex128)
+    chunk = max(1, 2_000_000 // per_path)
+    for s in range(0, n_paths, chunk):
+        n = min(chunk, n_paths - s)
+        u1, u2 = (v.reshape(n, per_path) for v in _old_uniforms(key, s * per_path, n * per_path))
+        r2 = -2.0 * np.log(u1)
+        theta = 2.0 * np.pi * u2
+        r = np.sqrt(r2)
+        total = np.sqrt(2.0) * (r * np.sin(theta + 0.25 * np.pi))[:, :pairs].sum(axis=1)
+        phase = r2[:, :pairs].sum(axis=1)
+        if odd:
+            z = r[:, -1] * np.cos(theta[:, -1])
+            total = total + z
+            phase = phase + z * z
+        phase = 0.5 * lam * (phase - total * total / n_slices)
+        out[s : s + n] = np.exp(1j * phase)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_paths, n_slices",
+    [
+        (6149, 32),  # six full blocks and a ragged tail
+        (70_001, 1),
+        (2, 65539),  # rows longer than a block: one path per block
+        (1001, 32),  # fewer paths than one block holds: one block, run inline
+    ],
+)
+def test_mc_phase_array_matches_chunked_loop_bit_for_bit(kernel_workers, n_paths, n_slices):
+    key = kernels.stream_key(20240811, 5)
+    got = kernels.mc_phase_array(key, n_paths, n_slices, 0.37)
+    want = _mc_phase_chunked(key, n_paths, n_slices, 0.37)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # With blocks of 64 draws every shape has a ragged last block.
