@@ -25,20 +25,21 @@ maximum, and at desk d = rho/2 the kick-reference verdict hangs on
 their last-ulp rounding, which the direct sum reproduces.  Those sums
 go once that search is plateau-aware.
 
-The Monte Carlo phase sum draws its normals in Box-Muller pairs (Box &
-Muller 1958): draw j of a path gives slices 2j and 2j+1 as r cos(theta)
-and r sin(theta) (an odd last slice takes only r cos(theta)).  A path's
-fluctuation phase (lam/2) * sum_k (z_k - zbar)^2 is evaluated as
-(lam/2) * (sum z^2 - (sum z)^2 / n), where a full pair adds exactly
-r^2 = -2 ln u1 to the first sum and sqrt(2) r sin(theta + pi/4) to the
-second: per path, half the hashes, logs and square roots of one normal
-per slice, and one trig call per two slices.  bridge_offsets keeps one
+The Monte Carlo phase sum draws each path in the bridge's free modes. A
+path's fluctuation phase (lam/2) * sum_k (z_k - zbar)^2 over n iid
+normals is (lam/2) * |Hz|^2 for the (n-1) x n Helmert matrix H, whose
+rows are orthonormal and orthogonal to (1, ..., 1) (Cochran 1934), and
+Hz is n-1 iid normals w.  So a path takes ceil((n-1)/2) Box-Muller draws
+(Box & Muller 1958), one per pair of modes, and a full pair adds exactly
+r^2 = -2 ln u1 to sum w^2; an odd last mode adds r^2 cos^2(theta).  No
+per-mode square root or trig is left: one cos per path when n is even,
+none when n is odd, and n = 1 takes no draws.  bridge_offsets keeps one
 normal per draw, r cos(theta), so sampled bundles keep their stream;
-both read the same hashed draws (_draws).  The phase sum works in
-blocks of paths of at most 2^15 draws.  A block holds three block-sized
+both read the same hashed draws (_draws).  The phase sum works in blocks
+of paths of at most 2^15 draws.  A block hashes in three block-sized
 buffers (the two counter streams and one uniform stream; the spent
-counters take the other uniforms and the radii) and does its arithmetic
-in place, so a worker holds 768 KiB whatever the number of paths.  Each
+counters take the other uniforms), keeps two and does its arithmetic in
+place, so a worker holds 768 KiB whatever the number of paths.  Each
 output element is a reduction over one row, of fixed length and order,
 whatever block holds the row, so the bytes depend on neither the worker
 count nor the scheduling.  Blocks write disjoint slices of the output
@@ -47,13 +48,13 @@ pool sized from the CPU affinity of the process
 (``os.sched_getaffinity``, else ``os.cpu_count()``), created on the
 first call with several blocks; with one CPU or one block they run
 inline.  On a 2-CPU host the pool ran the 1e5 x 32 phase array in
-~38 ms against ~57 ms inline (medians of 11 interleaved calls); when
-other processes load the host the gain shrinks to nothing.  Module-level
-functions here may be wrapped by the single-threaded tracer in
-``perfbench/tracing.py``, so worker threads run only nested closures
-and numpy.  ``numpy.fft`` is reached as ``np.fft`` at call time:
-``import numpy`` does not load it, and a run that never needs it never
-pays for its import.
+20-28 ms against 24-47 ms inline (medians of 15 interleaved calls in each of
+four processes); earlier runs saw the gain shrink to nothing when other
+processes loaded the host.  Module-level functions here may be wrapped
+by the single-threaded tracer in ``perfbench/tracing.py``, so worker
+threads run only nested closures and numpy.  ``numpy.fft`` is reached as
+``np.fft`` at call time: ``import numpy`` does not load it, and a run
+that never needs it never pays for its import.
 
 Segment crossings are pruned by z-slab (a special case of interval
 pruning in sweep-line intersection; Shamos & Hoey 1976, Bentley &
@@ -107,11 +108,10 @@ def stream_key(seed: int, stream: int) -> int:
 
 
 def _draws(key: int):
-    """Closure (i, j) -> (r2, theta, spare) of Box-Muller draws i..j-1
-    under key: draw d hashes counters 2d+1 and 2d+2 into uniforms u1 in
-    (0,1] and u2 in [0,1) from their top 53 bits, r2 = -2 ln u1 and
-    theta = 2 pi u2; spare is a spent buffer of the same size, free for
-    the caller.  Hash steps run in place; the 53-bit values convert
+    """Closure (i, j) -> (r2, theta) of Box-Muller draws i..j-1 under
+    key: draw d hashes counters 2d+1 and 2d+2 into uniforms u1 in (0,1]
+    and u2 in [0,1) from their top 53 bits, r2 = -2 ln u1 and
+    theta = 2 pi u2.  Hash steps run in place; the 53-bit values convert
     through an int64 view, exact below 2^53 and faster than the unsigned
     cast."""
     k, golden = np.uint64(key), np.uint64(_GOLDEN)
@@ -128,7 +128,7 @@ def _draws(key: int):
         np.copyto(out, z.view(np.int64))
         return out
 
-    def draws(i: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def draws(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         # three buffers: u1 is a's shift scratch until it takes a's
         # floats, then a is b's scratch and takes b's floats
         a = np.arange(2 * i + 1, 2 * j, 2, dtype=np.uint64)
@@ -142,7 +142,7 @@ def _draws(key: int):
         np.log(u1, out=u1)
         u1 *= -2.0
         u2 *= 2.0 * np.pi
-        return u1, u2, b.view(np.float64)
+        return u1, u2
 
     return draws
 
@@ -263,14 +263,14 @@ def direct_sum(x_out, x_in, values, dx, pref, coef):
 # Bridge sampling for the Monte Carlo kernel estimate.
 # bridge_offsets: path p, slice k is draw p*n_slices + k, z = r cos(theta).
 # Path positions: straight line plus sigma * (cumsum(z) - (j/n)*sum(z)).
-# mc_phase_array: path p, slices 2j and 2j+1 are r cos(theta) and
-# r sin(theta) of draw p*ceil(n/2) + j.
+# mc_phase_array: path p, modes 2j and 2j+1 are r cos(theta) and
+# r sin(theta) of draw p*ceil((n-1)/2) + j.
 # ---------------------------------------------------------------------------
 
 
 def bridge_offsets(key: int, n_paths: int, n_slices: int, sigma: float) -> np.ndarray:
     """(n_paths, n_slices+1) bridge offsets, zero at both endpoints."""
-    z, theta, _ = _draws(key)(0, n_paths * n_slices)
+    z, theta = _draws(key)(0, n_paths * n_slices)
     np.sqrt(z, out=z)
     z *= np.cos(theta, out=theta)
     c = np.cumsum(z.reshape(n_paths, n_slices), axis=1)
@@ -284,32 +284,27 @@ def bridge_offsets(key: int, n_paths: int, n_slices: int, sigma: float) -> np.nd
 
 def mc_phase_array(key, n_paths, n_slices, lam):
     """Per-path fluctuation phases exp(i*(lam/2)*sum_k (z_k - zbar)^2) of
-    bridges with standard normal increments z; summed by the caller.
+    bridges with n_slices standard normal increments z; summed by the
+    caller.
 
-    sum_k (z_k - zbar)^2 = sum z^2 - (sum z)^2 / n, and a draw's pair of
-    slices gives z_a^2 + z_b^2 = r^2 and z_a + z_b = sqrt(2) r sin(theta + pi/4)."""
+    sum_k (z_k - zbar)^2 = |Hz|^2 for the (n-1) x n Helmert matrix H,
+    whose orthonormal rows span the bridge's free modes, so each path is
+    drawn as its n-1 mode coordinates w: a draw's pair of modes adds
+    exactly r^2 = -2 ln u1, and an odd last mode adds r^2 cos^2(theta)."""
     half_lam = 0.5 * float(lam)
-    pairs, odd = divmod(n_slices, 2)
+    pairs, odd = divmod(n_slices - 1, 2)
     per_path = pairs + odd
     draws = _draws(key)
     out = np.empty(n_paths, np.complex128)
 
     def block(s, e):
-        r2, theta, r = (v.reshape(e - s, per_path) for v in draws(s * per_path, e * per_path))
-        np.sqrt(r2, out=r)
-        if odd:  # the last draw gives one slice, r cos(theta)
-            z = r[:, -1] * np.cos(theta[:, -1])
-        theta += 0.25 * np.pi
-        r *= np.sin(theta, out=theta)
-        total = r[:, :pairs].sum(axis=1)
-        total *= np.sqrt(2.0)
+        r2, theta = (v.reshape(e - s, per_path) for v in draws(s * per_path, e * per_path))
         phase = r2[:, :pairs].sum(axis=1)
-        if odd:
-            total += z
-            phase += z * z
-        total *= total
-        total /= n_slices
-        phase -= total
+        if odd:  # the last draw gives one mode, r cos(theta)
+            c = np.cos(theta[:, -1])
+            c *= c
+            c *= r2[:, -1]
+            phase += c
         phase *= half_lam
         out[s:e] = np.exp(1j * phase)
 

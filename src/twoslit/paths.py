@@ -151,10 +151,14 @@ def mc_kernel_estimate(
     The cross term vanishes (sum_k (z_k - zbar) = 0) and the straight
     line's term is S_cl, so the fluctuation phase is exactly
     S_path - S_cl = (lam/2) * sum_k (z_k - zbar)^2, lam = m*sigma^2/dt,
-    whatever D; kernels.mc_phase_array evaluates it from Box-Muller pairs
-    of slices.  Its ensemble mean is (1 - i*lam)^(-(n-1)/2); multiplying
-    the sample mean by the reciprocal factor makes the estimator exactly
-    unbiased, and n_slices = 1 returns the kernel itself.
+    whatever D: the squared norm of the path's n-1 free-mode coordinates
+    (Helmert basis), which kernels.mc_phase_array draws directly,
+    ceil((n-1)/2) Box-Muller draws per path.  It does not depend on the
+    endpoints, so at fixed (seed, n_paths, n_slices, T) the estimate is
+    free_kernel times one factor.  Its ensemble mean is
+    (1 - i*lam)^(-(n-1)/2); multiplying the sample mean by the reciprocal
+    factor makes the estimator exactly unbiased, and n_slices = 1 returns
+    the kernel itself.
     """
     if n_paths < 1 or n_slices < 1:
         raise InvalidArgumentError("n_paths and n_slices must be >= 1")

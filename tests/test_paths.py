@@ -221,39 +221,34 @@ def _old_normals(key, start, count):
 
 
 def _mc_phase_oracle(key, n_paths, n_slices, lam):
-    """Phases (lam/2) * sum_k (z_k - zbar)^2 of each path's explicit
-    increments: slices 2j and 2j+1 of path p are r cos(theta) and
-    r sin(theta) of draw p*ceil(n/2) + j, the last sin dropped for odd n."""
-    per_path = (n_slices + 1) // 2
+    """Phases (lam/2) * |w|^2 of each path's explicit mode coordinates:
+    modes 2j and 2j+1 of path p are r cos(theta) and r sin(theta) of draw
+    p*ceil((n-1)/2) + j, the last sin dropped when n-1 is odd."""
+    per_path = n_slices // 2
     r, theta = _old_polar(key, 0, n_paths * per_path)
-    z = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1).reshape(n_paths, 2 * per_path)
-    z = z[:, :n_slices]
-    d = z - z.mean(axis=1, keepdims=True)
-    return 0.5 * lam * np.sum(d * d, axis=1)
+    w = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1).reshape(n_paths, 2 * per_path)
+    w = w[:, : n_slices - 1]
+    return 0.5 * lam * np.sum(w * w, axis=1)
 
 
 def _mc_phase_chunked(key, n_paths, n_slices, lam):
     """mc_phase_array's arithmetic in 2M-draw chunks of plain temporaries,
     on the stream as written in _old_uniforms, without row blocks or the
     pool."""
-    pairs, odd = divmod(n_slices, 2)
+    pairs, odd = divmod(n_slices - 1, 2)
     per_path = pairs + odd
     out = np.empty(n_paths, np.complex128)
-    chunk = max(1, 2_000_000 // per_path)
+    chunk = max(1, 2_000_000 // max(per_path, 1))
     for s in range(0, n_paths, chunk):
         n = min(chunk, n_paths - s)
         u1, u2 = (v.reshape(n, per_path) for v in _old_uniforms(key, s * per_path, n * per_path))
         r2 = -2.0 * np.log(u1)
         theta = 2.0 * np.pi * u2
-        r = np.sqrt(r2)
-        total = np.sqrt(2.0) * (r * np.sin(theta + 0.25 * np.pi))[:, :pairs].sum(axis=1)
         phase = r2[:, :pairs].sum(axis=1)
         if odd:
-            z = r[:, -1] * np.cos(theta[:, -1])
-            total = total + z
-            phase = phase + z * z
-        phase = 0.5 * lam * (phase - total * total / n_slices)
-        out[s : s + n] = np.exp(1j * phase)
+            c = np.cos(theta[:, -1])
+            phase = phase + c * c * r2[:, -1]
+        out[s : s + n] = np.exp(1j * (phase * (0.5 * lam)))
     return out
 
 
@@ -316,6 +311,71 @@ def test_mc_phase_array_mean_is_the_gaussian_integral(n_slices):
     stderr = math.sqrt(np.mean(np.abs(phases - mean) ** 2) / n_paths)
     want = (1.0 - 1j * lam) ** (-0.5 * (n_slices - 1))
     assert abs(mean - want) <= 5.0 * stderr
+
+
+@pytest.mark.parametrize("n_slices", [2, 31, 32])
+def test_mc_phase_array_actions_are_chi_squared(n_slices):
+    # At lam = 1e-3 every phase (lam/2) chi^2_{n-1} is far below pi, so
+    # np.angle returns it: 2 angle / lam has mean n-1 and variance 2(n-1)
+    lam, n_paths = 1e-3, 100_000
+    phases = kernels.mc_phase_array(kernels.stream_key(20240811, 0), n_paths, n_slices, lam)
+    x = 2.0 * np.angle(phases) / lam
+    dof = n_slices - 1
+    d = x - x.mean()
+    var = np.mean(d * d)
+    assert abs(x.mean() - dof) <= 5.0 * math.sqrt(var / n_paths)
+    assert abs(var - 2 * dof) <= 5.0 * math.sqrt((np.mean(d**4) - var * var) / n_paths)
+
+
+def _helmert(n):
+    """The (n-1) x n Helmert matrix: row k-1 is (1, ..., 1, -k, 0, ...)
+    with k ones, over sqrt(k(k+1))."""
+    h = np.zeros((n - 1, n))
+    for k in range(1, n):
+        h[k - 1, :k] = 1.0
+        h[k - 1, k] = -k
+        h[k - 1] /= math.sqrt(k * (k + 1))
+    return h
+
+
+@pytest.mark.parametrize("n", [2, 3, 31, 32])
+def test_fluctuation_action_is_the_helmert_modes_norm(n):
+    # The change of variables mc_phase_array samples in: the rows of H
+    # are an orthonormal basis of the vectors orthogonal to (1, ..., 1),
+    # so sum (z - zbar)^2 = |H z|^2 and iid normal z give iid normal Hz
+    h = _helmert(n)
+    assert np.allclose(h @ h.T, np.eye(n - 1), rtol=0.0, atol=1e-14)
+    assert np.allclose(h @ np.ones(n), 0.0, rtol=0.0, atol=1e-14)
+    lam = 0.37
+    z = np.random.default_rng(n).standard_normal((200, n)) * np.geomspace(1e-3, 1e3, 200)[:, None]
+    d = z - z.mean(axis=1, keepdims=True)
+    direct = 0.5 * lam * np.sum(d * d, axis=1)
+    w = z @ h.T
+    modes = 0.5 * lam * np.sum(w * w, axis=1)
+    assert np.all(np.abs(modes - direct) <= 1e-12 * direct)
+
+
+@pytest.mark.parametrize(
+    "start, end",
+    [
+        (SpacetimeEvent(x=0.0, z=0.0, t=0.0), SpacetimeEvent(x=0.0, z=100.0, t=100.0)),
+        (SpacetimeEvent(x=-7.5, z=3.0, t=-40.0), SpacetimeEvent(x=2.25, z=9.0, t=60.0)),
+        (SpacetimeEvent(x=1e3, z=0.0, t=5.0), SpacetimeEvent(x=-1e3, z=0.0, t=105.0)),
+    ],
+)
+def test_mc_kernel_estimate_over_free_kernel_ignores_endpoints(particle, start, end):
+    # The fluctuation phase (lam/2) sum (z - zbar)^2 does not depend on
+    # the endpoints, so at fixed (seed, n_paths, n_slices, T) the estimate
+    # is free_kernel times one seed-determined factor.  The path-sum
+    # verdict's worst error over five end offsets therefore tests only
+    # free_kernel at those offsets; its slope over n_paths and seeds is
+    # what tests the sampler.
+    t_total = end.t - start.t
+    ref = mc_kernel_estimate(START, END, particle, n_paths=2000, n_slices=16, seed=9)
+    ref /= free_kernel(END.x, START.x, particle.mass, END.t - START.t)
+    est = mc_kernel_estimate(start, end, particle, n_paths=2000, n_slices=16, seed=9)
+    ratio = est / free_kernel(end.x, start.x, particle.mass, t_total)
+    assert abs(ratio - ref) <= 1e-12 * abs(ref)
 
 
 def test_mc_phase_array_peak_memory_is_a_few_blocks_per_worker(kernel_workers):
