@@ -5,7 +5,6 @@ Atomic units everywhere: hbar = electron mass = bohr = 1.
 """
 
 from .analysis import (
-    OnsetReport,
     SweepRow,
     fraunhofer_oracle,
     fringe_spacing,
@@ -19,22 +18,18 @@ from .apparatus import (
     DetectorConfig,
     Geometry,
     GridSpec,
-    Particle,
-    ValidationReport,
     cm_to_bohr,
     make_detector,
     make_particle,
     validate,
 )
-from .config import AnalysisSettings, RunConfig, load_config, parse_config
+from .config import AnalysisSettings, load_config, parse_config
 from .errors import (
     ConfigError,
     InvalidArgumentError,
     InvalidStateError,
     NoFringesError,
     NumericalError,
-    PhysicsValidationError,
-    TwoslitError,
 )
 from .paths import (
     Path,
@@ -61,7 +56,7 @@ from .scenario import (
     stub_source,
     sweep_interslit,
 )
-from .uncertainty import UncertaintyReport, packet_uncertainties
+from .uncertainty import packet_uncertainties
 
 __version__ = "0.1.0"
 
@@ -77,18 +72,11 @@ __all__ = [
     "InvalidStateError",
     "NoFringesError",
     "NumericalError",
-    "OnsetReport",
-    "Particle",
     "Path",
     "PathBundle",
-    "PhysicsValidationError",
     "PlaneField",
-    "RunConfig",
     "SpacetimeEvent",
     "SweepRow",
-    "TwoslitError",
-    "UncertaintyReport",
-    "ValidationReport",
     "cm_to_bohr",
     "crossing_count",
     "crossing_window",

@@ -1,8 +1,8 @@
 """Hot numeric kernels, in numpy.
 
 The quadrature propagation loop, the Monte Carlo bridge sampler, and the
-segment-crossing counter dominate runtime.  Random streams are
-counter-based (splitmix-style hash of seed and index), so path samples
+segment-crossing counter dominate runtime.  Bundle samples come from a
+counter-based stream (splitmix-style hash of seed and index), so they
 depend only on (seed, path_id, slice_id).
 
 Propagation is Bluestein's chirp-z transform (Rabiner, Schafer & Rader
@@ -25,36 +25,23 @@ maximum, and at desk d = rho/2 the kick-reference verdict hangs on
 their last-ulp rounding, which the direct sum reproduces.  Those sums
 go once that search is plateau-aware.
 
-The Monte Carlo phase sum draws each path in the bridge's free modes. A
-path's fluctuation phase (lam/2) * sum_k (z_k - zbar)^2 over n iid
+The Monte Carlo phase sum draws each path's fluctuation action whole.
+A path's fluctuation phase (lam/2) * sum_k (z_k - zbar)^2 over n iid
 normals is (lam/2) * |Hz|^2 for the (n-1) x n Helmert matrix H, whose
-rows are orthonormal and orthogonal to (1, ..., 1) (Cochran 1934), and
-Hz is n-1 iid normals w.  So a path takes ceil((n-1)/2) Box-Muller draws
-(Box & Muller 1958), one per pair of modes, and a full pair adds exactly
-r^2 = -2 ln u1 to sum w^2; an odd last mode adds r^2 cos^2(theta).  No
-per-mode square root or trig is left: one cos per path when n is even,
-none when n is odd, and n = 1 takes no draws.  bridge_offsets keeps one
-normal per draw, r cos(theta), so sampled bundles keep their stream;
-both read the same hashed draws (_draws).  The phase sum works in blocks
-of paths of at most 2^15 draws.  A block hashes in three block-sized
-buffers (the two counter streams and one uniform stream; the spent
-counters take the other uniforms), keeps two and does its arithmetic in
-place, so a worker holds 768 KiB whatever the number of paths.  Each
-output element is a reduction over one row, of fixed length and order,
-whatever block holds the row, so the bytes depend on neither the worker
-count nor the scheduling.  Blocks write disjoint slices of the output
-and numpy releases the GIL in their loops, so they run on one thread
-pool sized from the CPU affinity of the process
-(``os.sched_getaffinity``, else ``os.cpu_count()``), created on the
-first call with several blocks; with one CPU or one block they run
-inline.  On a 2-CPU host the pool ran the 1e5 x 32 phase array in
-20-28 ms against 24-47 ms inline (medians of 15 interleaved calls in each of
-four processes); earlier runs saw the gain shrink to nothing when other
-processes loaded the host.  Module-level functions here may be wrapped
-by the single-threaded tracer in ``perfbench/tracing.py``, so worker
-threads run only nested closures and numpy.  ``numpy.fft`` is reached as
-``np.fft`` at call time: ``import numpy`` does not load it, and a run
-that never needs it never pays for its import.
+rows are orthonormal and orthogonal to (1, ..., 1), and Hz is n-1 iid
+normals (Cochran 1934): the sum is exactly chi-squared with n-1 degrees
+of freedom.  So each path takes one chisquare(n-1) variate from
+numpy's PCG64 generator seeded with the path-sum key (PCG64 by name, not
+default_rng, whose bit generator numpy may change), and n = 1 takes no
+draw.  Paths are drawn in consecutive blocks of _BLOCK from that one
+generator, which gives the same bits as one call for the whole array,
+so the bytes do not depend on the block size; a block is written into
+the output's imaginary part, scaled and exponentiated in place.  The
+bundles' counter-based stream (_draws) is not involved, so sampled
+bundles keep their bits.  The package starts no thread.
+``numpy.fft`` and ``numpy.random`` are reached as ``np.fft`` and
+``np.random`` at call time: ``import numpy`` loads neither, and a run
+that never needs one never pays for its import.
 
 Segment crossings are pruned by z-slab (a special case of interval
 pruning in sweep-line intersection; Shamos & Hoey 1976, Bentley &
@@ -76,8 +63,6 @@ column pair instead of n_slices^2.
 from __future__ import annotations
 
 import functools
-import os
-import threading
 
 import numpy as np
 
@@ -145,39 +130,6 @@ def _draws(key: int):
         return u1, u2
 
     return draws
-
-
-# ---------------------------------------------------------------------------
-# Row blocks on a thread pool.
-# ---------------------------------------------------------------------------
-
-# Elements per row block.  A block holds three buffers of this many
-# 8-byte elements, so a worker holds 768 KiB; at 1 << 16 the paths-desk
-# workload peaks ~2 MB higher in RSS for ~5% less time on the pool.
-_BLOCK = 1 << 15
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _blocks(fn, n_rows: int, row_len: int) -> None:
-    """Call fn(s, e) once per block of rows s..e-1 covering range(n_rows)
-    in order, with at most _BLOCK elements (or one row) per block; on
-    the pool when there are several blocks and several workers."""
-    global _POOL
-    step = max(1, _BLOCK // max(row_len, 1))
-    spans = [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
-    if len(spans) < 2 or _WORKERS < 2:
-        for s, e in spans:
-            fn(s, e)
-        return
-    with _POOL_LOCK:
-        if _POOL is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="twoslit-kernels")
-    for future in [_POOL.submit(fn, s, e) for s, e in spans]:
-        future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +215,7 @@ def direct_sum(x_out, x_in, values, dx, pref, coef):
 # Bridge sampling for the Monte Carlo kernel estimate.
 # bridge_offsets: path p, slice k is draw p*n_slices + k, z = r cos(theta).
 # Path positions: straight line plus sigma * (cumsum(z) - (j/n)*sum(z)).
-# mc_phase_array: path p, modes 2j and 2j+1 are r cos(theta) and
-# r sin(theta) of draw p*ceil((n-1)/2) + j.
+# mc_phase_array: path p is chisquare variate p of the key's PCG64 stream.
 # ---------------------------------------------------------------------------
 
 
@@ -282,33 +233,31 @@ def bridge_offsets(key: int, n_paths: int, n_slices: int, sigma: float) -> np.nd
     return b
 
 
+# Paths per block of mc_phase_array: one block-sized float64 temporary
+# (256 KiB) besides the output.
+_BLOCK = 1 << 15
+
+
 def mc_phase_array(key, n_paths, n_slices, lam):
     """Per-path fluctuation phases exp(i*(lam/2)*sum_k (z_k - zbar)^2) of
     bridges with n_slices standard normal increments z; summed by the
     caller.
 
-    sum_k (z_k - zbar)^2 = |Hz|^2 for the (n-1) x n Helmert matrix H,
-    whose orthonormal rows span the bridge's free modes, so each path is
-    drawn as its n-1 mode coordinates w: a draw's pair of modes adds
-    exactly r^2 = -2 ln u1, and an odd last mode adds r^2 cos^2(theta)."""
+    sum_k (z_k - zbar)^2 over n iid normals is chi-squared with n-1
+    degrees of freedom (Helmert modes), so path p's sum is chisquare
+    variate p of np.random.Generator(np.random.PCG64(key)), drawn in
+    blocks of _BLOCK paths with the bits of one call; n_slices = 1 gives
+    phases of exactly 1."""
+    if n_slices == 1:
+        return np.ones(n_paths, np.complex128)
+    gen = np.random.Generator(np.random.PCG64(key))
     half_lam = 0.5 * float(lam)
-    pairs, odd = divmod(n_slices - 1, 2)
-    per_path = pairs + odd
-    draws = _draws(key)
-    out = np.empty(n_paths, np.complex128)
-
-    def block(s, e):
-        r2, theta = (v.reshape(e - s, per_path) for v in draws(s * per_path, e * per_path))
-        phase = r2[:, :pairs].sum(axis=1)
-        if odd:  # the last draw gives one mode, r cos(theta)
-            c = np.cos(theta[:, -1])
-            c *= c
-            c *= r2[:, -1]
-            phase += c
-        phase *= half_lam
-        out[s:e] = np.exp(1j * phase)
-
-    _blocks(block, n_paths, per_path)
+    out = np.zeros(n_paths, np.complex128)
+    for s in range(0, n_paths, _BLOCK):
+        block = out[s : s + _BLOCK]
+        block.imag = gen.chisquare(n_slices - 1, block.size)
+        block.imag *= half_lam
+        np.exp(block, out=block)
     return out
 
 

@@ -4,7 +4,7 @@ estimator of the free kernel.
 A bundle between two space-time events holds n_paths discrete paths on
 n_slices equal time slices.  Each path is the straight line between
 the endpoints plus a Brownian-bridge perturbation that vanishes at both
-ends.  All randomness is counter-based: the normal draw for (path p,
+ends.  Bundle randomness is counter-based: the normal draw for (path p,
 slice k) depends only on (seed, p, k), so bundles are reproducible for
 any worker count.
 
@@ -152,10 +152,11 @@ def mc_kernel_estimate(
     line's term is S_cl, so the fluctuation phase is exactly
     S_path - S_cl = (lam/2) * sum_k (z_k - zbar)^2, lam = m*sigma^2/dt,
     whatever D: the squared norm of the path's n-1 free-mode coordinates
-    (Helmert basis), which kernels.mc_phase_array draws directly,
-    ceil((n-1)/2) Box-Muller draws per path.  It does not depend on the
-    endpoints, so at fixed (seed, n_paths, n_slices, T) the estimate is
-    free_kernel times one factor.  Its ensemble mean is
+    (Helmert basis), a chi-squared variate with n-1 degrees of freedom,
+    which kernels.mc_phase_array draws directly, one per path from the
+    seed's PCG64 generator.  It does not depend on the endpoints, so at
+    fixed (seed, n_paths, n_slices, T) the estimate is free_kernel times
+    one factor.  Its ensemble mean is
     (1 - i*lam)^(-(n-1)/2); multiplying the sample mean by the reciprocal
     factor makes the estimator exactly unbiased, and n_slices = 1 returns
     the kernel itself.

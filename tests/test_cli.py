@@ -1,22 +1,15 @@
 import csv
 import functools
 import hashlib
-import importlib
-import inspect
 import json
-import pkgutil
-import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import twoslit
 from twoslit import kernels, scenario
-from twoslit.apparatus import make_particle
 from twoslit.cli import _write_atomic, main
-from twoslit.paths import SpacetimeEvent, mc_kernel_estimate
 
 DATA = Path(__file__).resolve().parent / "data"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -498,61 +491,6 @@ def test_narrow_local_window_is_ignored_without_detector(tmp_path: Path):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert json.loads((out / "summary.json").read_text())["p_det"] is None
-
-
-def _guard_package(monkeypatch) -> list[str]:
-    """Rebind every name in the package that refers to one of its
-    module-level functions (as perfbench/tracing.py does) to a wrapper
-    that records calls made off the main thread."""
-    off_main: list[str] = []
-    modules = [twoslit] + [
-        importlib.import_module(f"twoslit.{m.name}")
-        for m in pkgutil.iter_modules(twoslit.__path__)
-        if m.name != "__main__"
-    ]
-    found = {
-        id(fn): (f"{mod.__name__}.{name}", fn)
-        for mod in modules
-        for name, fn in vars(mod).items()
-        if inspect.isfunction(fn) and fn.__module__ == mod.__name__
-    }
-
-    def guard(qual, fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                off_main.append(qual)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    wrappers = {key: guard(qual, fn) for key, (qual, fn) in found.items()}
-    for mod in modules:
-        for name, value in list(vars(mod).items()):
-            if inspect.isfunction(value) and id(value) in wrappers:
-                monkeypatch.setattr(mod, name, wrappers[id(value)])
-    return off_main
-
-
-def test_worker_threads_run_no_module_level_function(tmp_path: Path, monkeypatch):
-    # perfbench/tracing.py keeps one frame stack for the main thread, so
-    # the kernel pool may run only nested closures and numpy.
-    monkeypatch.setattr(kernels, "_WORKERS", max(2, kernels._WORKERS))
-    monkeypatch.setattr(kernels, "_POOL", None)
-    off_main = _guard_package(monkeypatch)
-    try:
-        sweep = _desk_variant(tmp_path, "sweep", d_values=[15.0, 10.0])
-        assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep")]) == 0
-        desk = str(CONFIGS / "desk.json")
-        assert main(["paths", "--config", desk, "--out", str(tmp_path / "paths")]) == 0
-        particle = make_particle(mass=1.0, kinetic_energy=0.5)
-        end = SpacetimeEvent(-250.0, 1e5, 1e5 / particle.velocity)  # desk source to slit A
-        mc_kernel_estimate(SpacetimeEvent(0.0, 0.0, 0.0), end, particle, 10_000, 32, 7)
-        assert kernels._POOL is not None  # the pool did run blocks
-    finally:
-        if kernels._POOL is not None:
-            kernels._POOL.shutdown()
-    assert off_main == []
 
 
 def test_paths_seed_override_and_determinism(tmp_path: Path):

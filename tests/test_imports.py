@@ -1,13 +1,19 @@
 """The package's intra-package imports, function-level ones included,
-form a DAG, and apparatus sits at its root beside errors."""
+form a DAG, and apparatus sits at its root beside errors; loading and
+validating a config imports no module it does not need, and the package
+starts no thread."""
 
 import ast
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twoslit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "twoslit"
 
 
 def _import_graph() -> dict[str, set[str]]:
@@ -46,3 +52,35 @@ def test_package_imports_form_a_dag():
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
     assert graph["apparatus"] == {"errors"}
     assert graph["errors"] == set()
+
+
+_SETUP_GUARD = """
+import sys, threading
+import twoslit.cli
+from twoslit.apparatus import validate
+from twoslit.config import load_config
+
+cfg = load_config(sys.argv[1])
+validate(cfg.apparatus, cfg.detector, cfg.particle)
+print(sorted(m for m in ("numpy.random", "numpy.fft", "concurrent.futures") if m in sys.modules))
+from twoslit.paths import SpacetimeEvent, mc_kernel_estimate
+
+particle = cfg.particle
+end = SpacetimeEvent(0.0, 1e5, 1e5 / particle.velocity)
+mc_kernel_estimate(SpacetimeEvent(0.0, 0.0, 0.0), end, particle, 100_000, 32, 7)
+print(threading.active_count())
+"""
+
+
+def test_setup_loads_no_lazy_numpy_module_and_no_thread_starts():
+    # numpy.random and numpy.fft are reached at call time, so importing
+    # the CLI and validating desk (a run's set-up) pays for neither; a
+    # multi-block kernel estimate then runs on the main thread alone
+    run = subprocess.run(
+        [sys.executable, "-c", _SETUP_GUARD, str(ROOT / "configs" / "desk.json")],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.splitlines() == ["[]", "1"]

@@ -2,7 +2,6 @@ import cmath
 import dataclasses
 import json
 import math
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -199,38 +198,6 @@ def test_propagate_sum_matches_direct_sum_bit_for_bit(n_in, n_out):
             got = kernels.direct_sum(x_out[rows], xs, vs, dx, pref, coef)
             assert got.dtype == want.dtype == np.complex128
             assert np.array_equal(got.view(np.uint64), want[rows].view(np.uint64))
-
-
-class _InlinePool:
-    """Runs each submitted block at once, so spans arrive in submission order."""
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-@given(
-    n_rows=st.integers(0, 5000),
-    row_len=st.integers(1, 2 * kernels._BLOCK),
-    workers=st.integers(1, 9),
-)
-@example(n_rows=993, row_len=64, workers=2)
-@example(n_rows=4096, row_len=64, workers=2)
-@example(n_rows=5, row_len=1, workers=4)
-@example(n_rows=3, row_len=kernels._BLOCK + 1, workers=8)
-def test_blocks_tile_rows_in_order(n_rows, row_len, workers):
-    spans = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_WORKERS", workers)
-        mp.setattr(kernels, "_POOL", _InlinePool())
-        kernels._blocks(lambda s, e: spans.append((s, e)), n_rows, row_len)
-    step = max(1, kernels._BLOCK // row_len)
-    ends = [0] + [e for _, e in spans]
-    assert [s for s, _ in spans] == ends[:-1] and ends[-1] == n_rows  # in order, no gap or overlap
-    assert all(0 < e - s <= step for s, e in spans)
-    if workers == 1:
-        assert spans == [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
 
 
 @given(
