@@ -37,6 +37,8 @@ draw.  Paths are drawn in consecutive blocks of _BLOCK from that one
 generator, which gives the same bits as one call for the whole array,
 so the bytes do not depend on the block size; a block is written into
 the output's imaginary part, scaled and exponentiated in place.  The
+variates per key follow numpy's chisquare algorithm, which numpy may
+change between releases (NEP 19); no CLI artifact reads them.  The
 bundles' counter-based stream (_draws) is not involved, so sampled
 bundles keep their bits.  The package starts no thread.
 ``numpy.fft`` and ``numpy.random`` are reached as ``np.fft`` and
