@@ -1,3 +1,9 @@
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -43,6 +49,47 @@ def desk_detector():
 @pytest.fixture(scope="session")
 def desk_window():
     return (-1.55e5, 1.55e5)
+
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.fixture(params=["as built", "inline", "more than cores"])
+def kernel_workers(request, monkeypatch):
+    """Run mc_phase_array as built; inline, all paths in one block; or
+    called at once from more threads than CPUs, with a short switch
+    interval, every caller getting the same bits.  Yields the number of
+    concurrent callers."""
+    if request.param == "as built":
+        yield 1
+        return
+    if request.param == "inline":
+        monkeypatch.setattr(kernels, "_BLOCK", 1 << 17)  # more paths than any test draws
+        yield 1
+        return
+    callers = _CPUS + 1
+    real = kernels.mc_phase_array
+
+    def concurrent(*args):
+        start = threading.Barrier(callers, timeout=60)
+
+        def call():
+            start.wait()
+            return real(*args)
+
+        with ThreadPoolExecutor(callers) as pool:
+            got = [f.result() for f in [pool.submit(call) for _ in range(callers)]]
+        for other in got[1:]:
+            assert np.array_equal(other.view(np.uint64), got[0].view(np.uint64))
+        return got[0]
+
+    monkeypatch.setattr(kernels, "mc_phase_array", concurrent)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield callers
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.fixture

@@ -220,13 +220,19 @@ def _old_normals(key, start, count):
     return r * np.cos(theta)
 
 
-def _mc_phase_one_call(key, n_paths, n_slices, lam):
-    """mc_phase_array as one chisquare(n-1) call on a fresh PCG64
-    generator, without blocks; no draw at one slice."""
-    x = np.zeros(n_paths)
-    if n_slices > 1:
-        x = np.random.Generator(np.random.PCG64(key)).chisquare(n_slices - 1, n_paths)
-    return np.exp(1j * (x * (0.5 * lam)))
+def _mc_phase_chunked(key, n_paths, n_slices, lam):
+    """mc_phase_array's arithmetic in 2M-path chunks of plain temporaries,
+    on a fresh PCG64 generator, without the kernel's blocks or in-place
+    writes; every shape below fits one chunk, so it is one unchunked
+    chisquare(n-1) call.  No draw at one slice."""
+    out = np.empty(n_paths, np.complex128)
+    gen = np.random.Generator(np.random.PCG64(key))
+    chunk = 2_000_000
+    for s in range(0, n_paths, chunk):
+        n = min(chunk, n_paths - s)
+        x = gen.chisquare(n_slices - 1, n) if n_slices > 1 else np.zeros(n)
+        out[s : s + n] = np.exp(1j * (x * (0.5 * lam)))
+    return out
 
 
 @pytest.mark.parametrize(
@@ -240,10 +246,10 @@ def _mc_phase_one_call(key, n_paths, n_slices, lam):
         (70_001, 32),  # two full blocks and a ragged tail
     ],
 )
-def test_mc_phase_array_matches_one_chisquare_call_bit_for_bit(n_paths, n_slices):
+def test_mc_phase_array_matches_chunked_loop_bit_for_bit(kernel_workers, n_paths, n_slices):
     key = kernels.stream_key(20240811, 5)
     got = kernels.mc_phase_array(key, n_paths, n_slices, 0.37)
-    want = _mc_phase_one_call(key, n_paths, n_slices, 0.37)
+    want = _mc_phase_chunked(key, n_paths, n_slices, 0.37)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -259,7 +265,9 @@ MC_SHAPES = [
 
 
 @pytest.mark.parametrize("n_paths, n_slices", MC_SHAPES)
-def test_mc_phase_array_bits_do_not_depend_on_blocks(monkeypatch, n_paths, n_slices):
+def test_mc_phase_array_bits_do_not_depend_on_blocks(
+    kernel_workers, monkeypatch, n_paths, n_slices
+):
     key = kernels.stream_key(20240811, 5)
     whole = kernels.mc_phase_array(key, n_paths, n_slices, 0.25)
     monkeypatch.setattr(kernels, "_BLOCK", 64)
@@ -361,9 +369,9 @@ def test_mc_kernel_estimate_over_free_kernel_ignores_endpoints(particle, start, 
     assert abs(ratio - ref) <= 1e-12 * abs(ref)
 
 
-def test_mc_phase_array_peak_memory_is_a_few_blocks():
+def test_mc_phase_array_peak_memory_is_a_few_blocks_per_worker(kernel_workers):
     # Beyond its output, a call holds one block-sized temporary,
-    # whatever the number of paths; the bound allows four.
+    # whatever the number of paths; the bound allows four per caller.
     key = kernels.stream_key(20240811, 5)
     tracemalloc.start()
     try:
@@ -371,7 +379,7 @@ def test_mc_phase_array_peak_memory_is_a_few_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= got.nbytes + 4 * 8 * kernels._BLOCK
+    assert peak <= kernel_workers * (got.nbytes + 4 * 8 * kernels._BLOCK)
 
 
 def _bridge_oracle(key, n_paths, n_slices, sigma):
