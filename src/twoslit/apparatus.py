@@ -14,10 +14,10 @@ The detector is a disc of radius rho centered at (slit_B_center, L1 +
 epsilon), i.e. just behind slit B.  Time of flight between planes a
 distance L apart is T = L / v (paraxial reduction).
 
-A Geometry builds every grid a run samples, and the disc need that sizes
-the disc grid, once; a geometry moved to another slit separation shares
-its screen grid.  validate() returns the one it checked, and
-everything that reads a run's setup takes it: the CLI,
+A Geometry builds every grid a run samples, its legs (the free flights
+between planes) and the disc need, once; a geometry moved to another
+slit separation shares its screen grid.  validate() returns the one it
+checked, and everything that reads a run's setup takes it: the CLI,
 scenario.ChannelSet and its wrappers, scenario.crossing_window,
 analysis.fraunhofer_oracle and paths.experiment_paths.
 """
@@ -216,6 +216,17 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
+class Leg:
+    """One free flight of a run: the config key naming its length, the
+    length L, and the transverse spans (lo, hi) it connects."""
+
+    key: str
+    L: float
+    span_in: tuple[float, float]
+    span_out: tuple[float, float]
+
+
+@dataclass(frozen=True)
 class Geometry:
     """One run's apparatus, detector and particle, and every grid a run
     of them samples, each built on first use and kept."""
@@ -248,19 +259,35 @@ class Geometry:
         }
 
     @cached_property
+    def legs(self) -> dict[str, Leg]:
+        """The legs a run propagates along, by name and in order:
+        source_slits, slits_screen and, with a disc (detector on and
+        depth_epsilon < L2), slit_disc and disc_screen; spans, not grids."""
+        a, det = self.apparatus, self.detector
+        slits, screen = (a.slit_A_interval[0], a.slit_B_interval[1]), (a.screen_min, a.screen_max)
+        legs = {
+            "source_slits": Leg("apparatus.L1", a.L1, (a.source_x, a.source_x), slits),
+            "slits_screen": Leg("apparatus.L2", a.L2, slits, screen),
+        }
+        if det.enabled and det.depth_epsilon < a.L2:
+            disc = (a.slit_B_center - det.radius_rho, a.slit_B_center + det.radius_rho)
+            legs["slit_disc"] = Leg("detector.depth_epsilon", det.depth_epsilon, slits, disc)
+            legs["disc_screen"] = Leg("detector.depth_epsilon", a.L2 - det.depth_epsilon, disc, screen)
+        return legs
+
+    @cached_property
     def disc_need(self) -> int | None:
         """Disc-plane samples needed to resolve the incoming stub phase
-        and the outgoing screen phase, or None when there is no disc to
-        sample: the detector is off, or depth_epsilon >= L2.  A need past
-        2^53 (an infinite one, say, from a tiny depth_epsilon) reads as
-        2^53."""
-        a, det = self.apparatus, self.detector
-        if not (det.enabled and det.depth_epsilon < a.L2):
+        over slit_disc and the outgoing screen phase over disc_screen, or
+        None without those legs.  A need past 2^53 (an infinite one, say,
+        from a tiny depth_epsilon) reads as 2^53."""
+        if "slit_disc" not in self.legs:
             return None
-        rho, eps = det.radius_rho, det.depth_epsilon
+        a, rho = self.apparatus, self.detector.radius_rho
         screen_abs = max(abs(a.screen_min), abs(a.screen_max))
         rate = self.particle.momentum * (
-            (rho + a.slit_width) / eps + (screen_abs + rho + abs(a.slit_B_center)) / (a.L2 - eps)
+            (rho + a.slit_width) / self.legs["slit_disc"].L
+            + (screen_abs + rho + abs(a.slit_B_center)) / self.legs["disc_screen"].L
         )
         return int(math.ceil(min(2.0 * rho * rate * _DISC_POINTS_PER_RADIAN, 2.0**53)))
 
@@ -277,8 +304,7 @@ class Geometry:
                 f"needs {need} samples, more than the cap of {DISC_N_MAX}; a larger depth_epsilon "
                 f"or a smaller radius_rho needs fewer"
             )
-        x_b, rho = self.apparatus.slit_B_center, self.detector.radius_rho
-        return GridSpec(x_b - rho, x_b + rho, max(need, DISC_N_MIN), cell_centered=True)
+        return GridSpec(*self.legs["slit_disc"].span_out, max(need, DISC_N_MIN), cell_centered=True)
 
 
 @dataclass(frozen=True)
@@ -317,7 +343,7 @@ def validate(apparatus: Apparatus, detector: DetectorConfig, particle: Particle)
 def validate_geometry(geometry: Geometry) -> ValidationReport:
     """validate() on a Geometry that already exists, and may already
     hold some of its grids (see Geometry.with_slit_separation)."""
-    apparatus, detector, particle = geometry.apparatus, geometry.detector, geometry.particle
+    a, detector, particle = geometry.apparatus, geometry.detector, geometry.particle
     issues: list[Issue] = []
 
     def err(code: str, message: str) -> None:
@@ -326,7 +352,6 @@ def validate_geometry(geometry: Geometry) -> ValidationReport:
     def warn(code: str, message: str) -> None:
         issues.append(Issue("warning", code, message))
 
-    a = apparatus
     if not (a.L1 > 0.0):
         err("nonpositive_L1", f"L1 must be > 0, got {a.L1}")
     if not (a.L2 > 0.0):
@@ -358,9 +383,9 @@ def validate_geometry(geometry: Geometry) -> ValidationReport:
     # The disc grid must resolve its phase within DISC_N_MAX samples, and
     # every grid a run samples must be uniform (the chirp-z propagation
     # assumes it); far off axis, rounding can space narrow grids unevenly.
-    # Every propagation's largest kernel phase p*dx^2/(2L), over the
-    # spans it connects, must be below 2^53 rad: past that a double keeps
-    # no digit of it modulo 2 pi.
+    # Every leg's largest kernel phase p*dx^2/(2L), over the spans it
+    # connects, must be below 2^53 rad: past that a double keeps no digit
+    # of it modulo 2 pi.
     if not issues:
         grids = [(f"apparatus.slit_{s}_center", f"slit {s} aperture", g) for s, g in geometry.apertures.items()]
         grids.append(("apparatus.screen_samples", "screen", geometry.screen))
@@ -372,25 +397,13 @@ def validate_geometry(geometry: Geometry) -> ValidationReport:
         for key, name, grid in grids:
             if grid.step_error is not None:
                 err("nonuniform_grid", f"{key}: the {name} {grid.step_error}")
-        slits = (a.slit_A_interval[0], a.slit_B_interval[1])
-        screen = (a.screen_min, a.screen_max)
-        legs = [
-            ("apparatus.L1", a.L1, (a.source_x, a.source_x), slits),
-            ("apparatus.L2", a.L2, slits, screen),
-        ]
-        if geometry.disc_need is not None:
-            eps, rho = detector.depth_epsilon, detector.radius_rho
-            disc = (a.slit_B_center - rho, a.slit_B_center + rho)
-            legs += [
-                ("detector.depth_epsilon", eps, slits, disc),
-                ("detector.depth_epsilon", a.L2 - eps, disc, screen),
-            ]
-        for key, L, (in_lo, in_hi), (out_lo, out_hi) in legs:
+        for leg in geometry.legs.values():
+            (in_lo, in_hi), (out_lo, out_hi) = leg.span_in, leg.span_out
             reach = max(abs(out_hi - in_lo), abs(in_hi - out_lo))
-            phase = particle.momentum * reach * reach / (2.0 * L)
+            phase = particle.momentum * reach * reach / (2.0 * leg.L)
             if not phase < 2.0**53:
                 err("phase_too_large",
-                    f"{key}: the kernel phase p*dx^2/(2L) over L={L!r} is {phase!r} rad, not below 2^53")
+                    f"{leg.key}: the kernel phase p*dx^2/(2L) over L={leg.L!r} is {phase!r} rad, not below 2^53")
 
     # Warnings are only meaningful on an otherwise sound geometry.
     if not [i for i in issues if i.severity == "error"]:

@@ -1,9 +1,7 @@
-"""Hot numeric kernels, in numpy.
-
-The quadrature propagation loop, the Monte Carlo bridge sampler, and the
-segment-crossing counter dominate runtime.  Bundle samples come from a
-counter-based stream (splitmix-style hash of seed and index), so they
-depend only on (seed, path_id, slice_id).
+"""Array kernels, in numpy: the quadrature propagation sum, the Monte
+Carlo bridge sampler and phase sum, and the segment-crossing search.
+Bundle samples come from a counter-based stream (splitmix-style hash of
+seed and index), so they depend only on (seed, path_id, slice_id).
 
 Propagation is Bluestein's chirp-z transform (Rabiner, Schafer & Rader
 1969; Bluestein 1970): on uniform grids the quadrature is one FFT
@@ -294,8 +292,8 @@ def _segments(z, x, lens):
 
 
 def segment_crossings(az, ax, alen, bz, bx, blen):
-    """All crossing points (z, x) between bundle a and bundle b, ordered
-    by (path of a, path of b, segment of a, segment of b)."""
+    """Arrays z and x of all crossing points between bundle a and bundle
+    b, ordered by (path of a, path of b, segment of a, segment of b)."""
     p0z, p0x, rz, rx, a_ok, a_lo, a_hi = _segments(az, ax, alen)
     q0z, q0x, sz, sx, b_ok, b_lo, b_hi = _segments(bz, bx, blen)
     ca, cb = np.nonzero((a_lo[:, None] <= b_hi[None, :]) & (b_lo[None, :] <= a_hi[:, None]))
@@ -317,10 +315,8 @@ def segment_crossings(az, ax, alen, bz, bx, blen):
         i, j, k = np.nonzero(hit)
         found.append((i, j, ka[k], kb[k], t[i, j, k]))
     if not found:
-        return []
+        return np.empty(0), np.empty(0)
     i, j, sa, sb, t = (np.concatenate(col) for col in zip(*found))
     order = np.lexsort((sb, sa, j, i))
     i, sa, t = i[order], sa[order], t[order]
-    zc = p0z[i, sa] + t * rz[i, sa]
-    xc = p0x[i, sa] + t * rx[i, sa]
-    return list(zip(zc.tolist(), xc.tolist()))
+    return p0z[i, sa] + t * rz[i, sa], p0x[i, sa] + t * rx[i, sa]

@@ -11,7 +11,8 @@ any worker count.
 A PathBundle is arrays: z and t per event slice, shared by every path;
 x per path and slice; per path, its count of valid events and a
 truncation flag.  bundle.paths gives per-path views (Path) that build
-event objects only when asked, which the paths command never does.
+event objects only when asked, which the paths command never does, and
+crossing_count returns the crossing points as arrays z and x.
 
 experiment_paths builds the paths command's bundles from a run's
 validated apparatus.Geometry.
@@ -203,21 +204,13 @@ def spread_over_disc(bundle: PathBundle, radius: float) -> PathBundle:
     return replace(bundle, x=bundle.x + u[:, None] * ((bundle.t - t0) / span))
 
 
-def crossing_count(a: PathBundle, b: PathBundle) -> tuple[int, list[SpacetimeEvent]]:
+def crossing_count(a: PathBundle, b: PathBundle) -> tuple[int, np.ndarray, np.ndarray]:
     """Count segment-pair intersections between the bundles in the
-    (z, x) plane.  Crossing times need not match; t is reconstructed
-    from z along bundle a's parameterization."""
+    (z, x) plane (crossing times need not match), with the points' z
+    and x arrays in kernels.segment_crossings order."""
     az, bz = np.broadcast_to(a.z, a.x.shape), np.broadcast_to(b.z, b.x.shape)
-    pts = kernels.segment_crossings(az, a.x, a.lengths, bz, b.x, b.lengths)
-    # t from z assuming both bundles share dz/dt; bundle a's rate is used
-    za, zb = a.start.z, a.end.z
-    ta, tb = a.start.t, a.end.t
-    rate = (tb - ta) / (zb - za) if zb != za else 0.0
-    events = [
-        SpacetimeEvent(x=float(xc), z=float(zc), t=float(ta + (zc - za) * rate))
-        for zc, xc in pts
-    ]
-    return len(events), events
+    z, x = kernels.segment_crossings(az, a.x, a.lengths, bz, b.x, b.lengths)
+    return z.size, z, x
 
 
 def experiment_paths(

@@ -24,7 +24,7 @@ probability p_det weighs them in the mixture.  Every function here that
 reads a run's setup takes one apparatus.Geometry; the detector channels,
 crossing_window and sweep_interslit refuse one with the detector off (naming
 detector.enabled) or a disc outside (0, L2).  A ChannelSet reads the
-grids of its Geometry and builds the two barrier fields (each
+grids and legs of its Geometry and builds the two barrier fields (each
 slit's source amplitude across its aperture) once; the slit pair, p_det,
 the stub and the trapped capture all read them.  It propagates each
 field once, in order: psi_A and psi_B at the screen, as one pair; the B stub
@@ -98,8 +98,8 @@ def barrier_field(geometry: Geometry, slit: str) -> PlaneField:
     """Source amplitude across one slit aperture at the barrier plane."""
     if slit not in ("A", "B"):
         raise InvalidArgumentError(f"slit must be 'A' or 'B', got {slit!r}")
-    a = geometry.apparatus
-    return point_source_field(a.source_x, geometry.apertures[slit], a.L1, geometry.particle)
+    L = geometry.legs["source_slits"].L
+    return point_source_field(geometry.apparatus.source_x, geometry.apertures[slit], L, geometry.particle)
 
 
 def disc_window(u: np.ndarray) -> np.ndarray:
@@ -164,19 +164,18 @@ class ChannelSet:
         return {slit: barrier_field(self.geometry, slit) for slit in "AB"}
 
     def _disc_capture(self, slit: str) -> PlaneField:
-        """One slit's amplitude carried over epsilon to the disc window."""
-        det = self.detector
-        f = propagate(self._barrier[slit], det.depth_epsilon, self.particle, self.geometry.disc)
-        w = disc_window((f.x - self.apparatus.slit_B_center) / det.radius_rho)
+        """One slit's amplitude carried along slit_disc to the disc window."""
+        f = propagate(self._barrier[slit], self.geometry.legs["slit_disc"].L, self.particle, self.geometry.disc)
+        w = disc_window((f.x - self.apparatus.slit_B_center) / self.detector.radius_rho)
         return PlaneField(f.grid, f.values * w)
 
     def _disc_to_screen(self, source: PlaneField) -> PlaneField:
-        L = self.apparatus.L2 - self.detector.depth_epsilon
-        return propagate(source, L, self.particle, self.geometry.screen)
+        return propagate(source, self.geometry.legs["disc_screen"].L, self.particle, self.geometry.screen)
 
     @cached_property
     def _psi_pair(self) -> tuple[PlaneField, PlaneField]:
-        return propagate_pair(*self._barrier.values(), self.apparatus.L2, self.particle, self.geometry.screen)
+        L = self.geometry.legs["slits_screen"].L
+        return propagate_pair(*self._barrier.values(), L, self.particle, self.geometry.screen)
 
     @property
     def psi_a(self) -> PlaneField:
@@ -204,10 +203,9 @@ class ChannelSet:
         plane restricted by the disc window.
         """
         _require_detector(self.geometry)
-        app, eps = self.apparatus, self.detector.depth_epsilon
-        lo_edge, hi_edge = app.slit_A_interval
-        cone_lo = lo_edge + eps * (lo_edge - app.source_x) / app.L1
-        cone_hi = hi_edge + eps * (hi_edge - app.source_x) / app.L1
+        legs, x_s = self.geometry.legs, self.apparatus.source_x
+        eps, L1 = legs["slit_disc"].L, legs["source_slits"].L
+        cone_lo, cone_hi = (edge + eps * (edge - x_s) / L1 for edge in self.apparatus.slit_A_interval)
         disc = self.geometry.disc
         if cone_hi <= disc.lo or cone_lo >= disc.hi:
             return None

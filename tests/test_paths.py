@@ -151,25 +151,26 @@ def _line_bundle(x0: float, x1: float, n_pts: int = 5) -> PathBundle:
 def test_crossing_count_basics():
     rising = _line_bundle(-1.0, 1.0)
     falling = _line_bundle(1.2, -0.8)
-    n, events = crossing_count(rising, falling)
+    n, z, x = crossing_count(rising, falling)
     assert n == 1
-    assert events[0].x == pytest.approx(0.1, abs=1e-12)
-    assert events[0].z == pytest.approx(2.2, abs=1e-12)
+    assert z.dtype == x.dtype == np.float64 and z.shape == x.shape == (1,)
+    assert x[0] == pytest.approx(0.1, abs=1e-12)
+    assert z[0] == pytest.approx(2.2, abs=1e-12)
 
     # symmetric in the arguments
-    n_rev, _ = crossing_count(falling, rising)
+    n_rev, *_ = crossing_count(falling, rising)
     assert n_rev == n
 
     far = _line_bundle(10.0, 12.0)
-    n_far, events_far = crossing_count(rising, far)
+    n_far, z_far, x_far = crossing_count(rising, far)
     assert n_far == 0
-    assert events_far == []
+    assert z_far.size == x_far.size == 0
 
 
 def test_crossing_count_parallel():
     a = _line_bundle(0.0, 1.0)
     b = _line_bundle(0.5, 1.5)
-    n, _ = crossing_count(a, b)
+    n, *_ = crossing_count(a, b)
     assert n == 0
 
 
@@ -432,6 +433,13 @@ def _bits(points):
     return [(float(z).hex(), float(x).hex()) for z, x in points]
 
 
+def _crossing_bits(az, ax, alen, bz, bx, blen):
+    """The kernel's crossing arrays, checked for shape, as (z, x) bits."""
+    z, x = kernels.segment_crossings(az, ax, alen, bz, bx, blen)
+    assert z.dtype == x.dtype == np.float64 and z.ndim == 1 and z.shape == x.shape
+    return _bits(zip(z, x))
+
+
 def _coords(draw, values, n):
     return np.array(draw(st.lists(values, min_size=n, max_size=n)), np.float64)
 
@@ -468,9 +476,9 @@ _FLOAT = st.floats(-8.0, 8.0, allow_nan=False, allow_subnormal=False)
 @given(_bundle_pair(_GRID))
 def test_segment_crossings_match_all_pairs_oracle(bundles):
     (az, ax, alen), (bz, bx, blen) = bundles
-    got = kernels.segment_crossings(az, ax, alen, bz, bx, blen)
+    got = _crossing_bits(az, ax, alen, bz, bx, blen)
     want = _all_pairs_crossings(az, ax, alen, bz, bx, blen)
-    assert _bits(got) == _bits(h[4:] for h in want)
+    assert got == _bits(h[4:] for h in want)
 
 
 def _is_subsequence(short, long):
@@ -486,7 +494,7 @@ def test_segment_crossings_skip_only_z_disjoint_pairs(bundles):
     # and dropping at most hits between z-disjoint segments, which are no
     # crossings.
     (az, ax, alen), (bz, bx, blen) = bundles
-    got = _bits(kernels.segment_crossings(az, ax, alen, bz, bx, blen))
+    got = _crossing_bits(az, ax, alen, bz, bx, blen)
     hits = _all_pairs_crossings(az, ax, alen, bz, bx, blen)
 
     def share_z(i, j, sa, sb):
